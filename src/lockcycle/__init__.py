@@ -42,7 +42,6 @@ from .series import (
     IngestReport,
     active_cases,
     difference,
-    fetch_jhu,
     ingest_report,
     moving_average,
     parse_jhu_timeseries,

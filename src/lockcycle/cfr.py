@@ -5,13 +5,18 @@ cases: the kernel puts weight b*a**(i-k) on cases i days back for i >= k and
 nothing before the delay k.  The kernel mass b/(1-a) is the case-fatality
 rate.  Because the kernel is a single geometric tail, the convolution reduces
 to the exact one-pole state recursion s(t) = a*s(t-1) + n(t-k), d(t) = b*s(t),
-which is what both prediction and fitting run on.
+which prediction, fitting and the parameter CVs all run through one batched
+numpy filter.
 
 Fitting minimises the sum of squared residuals between smoothed observed
-deaths and the smoothed-case prediction: for a fixed decay a the scale b is a
-closed-form least-squares solution, the decay is found by golden-section
-search on (0, 1) seeded by a coarse grid scan, and the integer delay k is
-chosen by exhaustive search over a small range.
+deaths and the smoothed-case prediction by variable projection: for a fixed
+decay a the scale b is the closed-form least-squares solution, leaving the
+one-dimensional profile SSE(a) = |d|^2 - (d.s)^2/(s.s) for each delay.  The
+recursion starts from zero state, so the state for delay k is the zero-delay
+state shifted by k days and one filter pass per decay serves every delay.  A
+50-point grid scan on (0, 1) brackets each delay's minimum, safeguarded
+Newton steps on the profile's slope refine all delays in lock step, and the
+integer delay k with the smallest residual wins.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import DailySeries, moving_average
 
@@ -80,16 +85,53 @@ def cfr_from_params(a: float, b: float) -> float:
 
 
 def _delayed(values: np.ndarray, k: int) -> np.ndarray:
+    # shift right by k days along the last axis, zero-filled
     if k == 0:
         return values
     out = np.zeros_like(values)
-    out[k:] = values[:-k]
+    out[..., k:] = values[..., :-k]
     return out
 
 
-def _state(values: np.ndarray, a: float, k: int) -> np.ndarray:
-    # s(t) = a*s(t-1) + n(t-k), zero state before the first datum
-    return lfilter([1.0], [1.0, -a], _delayed(values, k))
+_BLOCK = 32
+
+
+def _lower_powers(a: np.ndarray, size: int) -> np.ndarray:
+    """powers[..., j, i] = a**(i-j) for i >= j and 0 above, one matrix per decay."""
+    ramp = np.zeros(a.shape + (2 * size - 1,))
+    ramp[..., size - 1:] = a[..., None] ** np.arange(size)
+    # row j is window j of [0]*(size-1) + a**(0..size-1), read backwards
+    return sliding_window_view(ramp, size, axis=-1)[..., ::-1, :]
+
+
+def _one_pole(x, a) -> np.ndarray:
+    """s(t) = a*s(t-1) + x(t) along the last axis of x, from zero state.
+
+    a is a decay or an array of decays broadcasting against the leading axes
+    of x; the result has their broadcast shape plus the time axis.  Within a
+    block of _BLOCK days the recursion is one matrix product with the
+    lower-triangular powers of a.  The states at the block ends follow the
+    same recursion over blocks with decay a**_BLOCK, and each decays into
+    the next block as a**(i+1).
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    t = x.shape[-1]
+    blocks = max(1, -(-t // _BLOCK))
+    padded = np.zeros(x.shape[:-1] + (blocks * _BLOCK,))
+    padded[..., :t] = x
+    y = padded.reshape(x.shape[:-1] + (blocks, _BLOCK)) @ _lower_powers(a, _BLOCK)
+    ends = (y[..., None, :, -1] @ _lower_powers(a ** _BLOCK, blocks))[..., 0, :]
+    carry = a[..., None] ** np.arange(1, _BLOCK + 1)
+    y[..., 1:, :] += ends[..., :-1, None] * carry[..., None, :]
+    # contiguous, so later matrix products on it stay on the BLAS path
+    return np.ascontiguousarray(y.reshape(y.shape[:-2] + (-1,))[..., :t])
+
+
+def _state(values: np.ndarray, a, k: int) -> np.ndarray:
+    # s_k(t) = s_0(t-k): the recursion is linear, time-invariant and starts
+    # from zero, so every delay shares the zero-delay state
+    return _delayed(_one_pole(values, a), k)
 
 
 def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
@@ -104,54 +146,96 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
     return DailySeries(new_cases.start_date, model.scale_b * s, "daily_deaths")
 
 
-def _best_scale(state: np.ndarray, deaths: np.ndarray):
-    # least-squares b >= 0 for fixed state; returns (b, sse)
-    denom = float(np.dot(state, state))
-    if denom == 0.0:
-        return 0.0, float(np.dot(deaths, deaths))
-    b = float(np.dot(deaths, state)) / denom
-    if b < 0.0:
-        b = 0.0
-    resid = deaths - b * state
-    return b, float(np.dot(resid, resid))
+_GRID = (np.arange(50) + 0.5) / 50
+_TOP = 1.0 - 1e-12  # a = 1 would give the kernel infinite mass
+_STEP_TOL = 1e-14
+_MAX_STEPS = 100
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _rowdot(x, y):
+    return np.einsum("ij,ij->i", x, y)
 
 
-def _fit_decay(cases: np.ndarray, deaths: np.ndarray, k: int,
-               grid_points: int = 50, tol: float = 5e-13):
-    """Best (a, b, sse) for a fixed delay.
+def _best_scale(states, ahead):
+    # least-squares b >= 0 for each row (0 where d.s <= 0 or s is all zero),
+    # and s.s
+    p = _rowdot(ahead, states)
+    q = _rowdot(states, states)
+    b = np.divide(p, q, out=np.zeros_like(p), where=(p > 0.0) & (q > 0.0))
+    return b, q
 
-    A coarse grid scan over (0, 1) brackets the minimum, then golden-section
-    search refines it.  The grid scan is what makes the later unimodal search
-    safe on real data.
+
+def _profile_slopes(cases, ahead, mask, a):
+    """First and second a-derivatives of each row's profile SSE at a.
+
+    With b(a) the best scale and r = d - b*s the residual, the profile's
+    slope is -2*b*(r . ds/da) and its curvature follows from d2s/da2.  Both
+    derivative states are the same filter again: ds/da(t) = a*ds/da(t-1) +
+    s(t-1) and d2s/da2(t) = a*d2s/da2(t-1) + 2*ds/da(t-1).
     """
+    s = _one_pole(cases, a) * mask
+    s1 = _one_pole(_delayed(s, 1), a) * mask
+    s2 = 2.0 * _one_pole(_delayed(s1, 1), a) * mask
+    b, q = _best_scale(s, ahead)
+    r = ahead - b[:, None] * s
+    rs1 = _rowdot(r, s1)
+    db = np.divide(rs1 - b * _rowdot(s, s1), q, out=np.zeros_like(q), where=b > 0.0)
+    slope = -2.0 * b * rs1
+    curvature = 2.0 * b * (b * _rowdot(s1, s1) - _rowdot(r, s2)) - 2.0 * q * db * db
+    return slope, curvature
 
-    def sse_at(a):
-        return _best_scale(_state(cases, a, k), deaths)[1]
 
-    grid = (np.arange(grid_points) + 0.5) / grid_points
-    scores = [sse_at(a) for a in grid]
-    j = int(np.argmin(scores))
-    lo = 0.0 if j == 0 else grid[j - 1]
-    hi = 1.0 - 1e-12 if j == grid_points - 1 else grid[j + 1]
+def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
+    """Best (a, b, sse) arrays, one entry per delay in ks.
 
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = sse_at(x1), sse_at(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = sse_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = sse_at(x2)
-    a = 0.5 * (lo + hi)
-    b, sse = _best_scale(_state(cases, a, k), deaths)
-    return a, b, sse
+    Every delay works on the zero-delay state s_0: row j of `ahead` holds the
+    deaths k_j days after each state day and `mask` the state days that have
+    one.  A 50-point grid scan over (0, 1) brackets each delay's profile
+    minimum; a minimum whose bracket end already has an outward slope sits
+    on that end.  The other delays take Newton steps on the profile slope
+    together, each falling back to bisection whenever its step would leave
+    its bracket or its profile is not convex there, until every step is
+    below _STEP_TOL.
+    """
+    t = len(cases)
+    days = np.arange(t)
+    mask = (days < t - ks[:, None]).astype(float)
+    ahead = np.where(mask > 0.0, deaths[np.minimum(days + ks[:, None], t - 1)], 0.0)
+
+    states = _one_pole(cases, _GRID)
+    p = states @ ahead.T
+    q = np.cumsum(states * states, axis=1)[:, t - 1 - ks]
+    explained = np.divide(p * p, q, out=np.zeros_like(p), where=(p > 0.0) & (q > 0.0))
+    j = np.argmax(explained, axis=0)
+    edges = np.concatenate([[0.0], _GRID, [_TOP]])
+    lo, hi = edges[j], edges[j + 2]
+
+    ends, _ = _profile_slopes(cases, np.vstack([ahead, ahead]), np.vstack([mask, mask]),
+                              np.concatenate([lo, hi]))
+    slope_lo, slope_hi = ends[:len(ks)], ends[len(ks):]
+    a = np.where(slope_lo >= 0.0, lo, np.where(slope_hi <= 0.0, hi, _GRID[j]))
+    rows = np.flatnonzero((slope_lo < 0.0) & (slope_hi > 0.0))
+    for _ in range(_MAX_STEPS):
+        if rows.size == 0:
+            break
+        x = a[rows]
+        slope, curvature = _profile_slopes(cases, ahead[rows], mask[rows], x)
+        lo[rows] = lo_x = np.where(slope < 0.0, x, lo[rows])
+        hi[rows] = hi_x = np.where(slope > 0.0, x, hi[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.clip(x - slope / curvature, lo_x, hi_x)
+        # a converged step may round onto the bracket end it has just moved
+        converged = np.abs(newton - x) <= _STEP_TOL
+        usable = (curvature > 0.0) & (((newton > lo_x) & (newton < hi_x)) | converged)
+        a[rows] = step = np.where(usable, newton, 0.5 * (lo_x + hi_x))
+        rows = rows[np.abs(step - x) > _STEP_TOL]
+
+    states = _one_pole(cases, a) * mask
+    b, _ = _best_scale(states, ahead)
+    resid = ahead - b[:, None] * states
+    # deaths before the delay face a zero prediction
+    head = np.concatenate([[0.0], np.cumsum(deaths * deaths)])[ks]
+    return a, b, head + _rowdot(resid, resid)
 
 
 def _align(x: DailySeries, y: DailySeries):
@@ -210,12 +294,13 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
                          fitted_deaths=DailySeries(start, np.zeros(len(d)), "daily_deaths"))
         return model
 
-    best = None
-    for k in range(k_lo, k_hi + 1):
-        a, b, sse = _fit_decay(n, d, k)
-        if best is None or sse < best[3] * (1.0 - 1e-12):
-            best = (k, a, b, sse)
-    k, a, b, sse = best
+    ks = np.arange(k_lo, k_hi + 1)
+    a_by_k, b_by_k, sse_by_k = _fit_decays(n, d, ks)
+    best = 0
+    for j in range(1, len(ks)):
+        if sse_by_k[j] < sse_by_k[best] * (1.0 - 1e-12):
+            best = j
+    k, a, b, sse = int(ks[best]), float(a_by_k[best]), float(b_by_k[best]), float(sse_by_k[best])
     cv_a, cv_b = parameter_cvs(n, d, k, a, b)
     fitted = DailySeries(start, b * _state(n, a, k), "daily_deaths")
     return CfrModel(k, a, b, sse=sse, cv_a=cv_a, cv_b=cv_b, fitted_deaths=fitted)
@@ -236,9 +321,7 @@ def parameter_cvs(cases: np.ndarray, deaths: np.ndarray, k: int, a: float, b: fl
     if t - 2 <= 0:
         return None, None
     s = _state(cases, a, k)
-    s_prev = np.zeros_like(s)
-    s_prev[1:] = s[:-1]
-    ds_da = lfilter([1.0], [1.0, -a], s_prev)
+    ds_da = _one_pole(_delayed(s, 1), a)
     col_a = b * ds_da
     col_b = s
     g11 = float(np.dot(col_a, col_a))

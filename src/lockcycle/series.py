@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "read_long_csv",
     "write_long_json",
     "read_long_json",
-    "fetch_jhu",
 ]
 
 KINDS = (
@@ -52,9 +50,6 @@ _DAILY_KIND_FOR = {
 }
 
 _JHU_HEADER = ["Province/State", "Country/Region", "Lat", "Long"]
-
-_JHU_BASE = ("https://raw.githubusercontent.com/CSSEGISandData/COVID-19/master/"
-             "csse_covid_19_data/csse_covid_19_time_series/")
 
 JHU_FILENAMES = {
     "confirmed_cumulative": "time_series_covid19_confirmed_global.csv",
@@ -352,24 +347,3 @@ def read_long_json(path):
     rows = [(dt.date.fromisoformat(item["date"]), item["kind"], float(item["value"]))
             for item in payload]
     return _series_from_rows(rows)
-
-
-def fetch_jhu(dest_dir, timeout: float = 60.0):
-    """Download the three current global CSSE files into dest_dir.
-
-    Live files are revised retroactively, so results are NOT reproducible;
-    analyses and tests run against the pinned snapshot shipped with the
-    package.  Returns {kind: path}.
-    """
-    import requests
-
-    os.makedirs(dest_dir, exist_ok=True)
-    out = {}
-    for kind, name in JHU_FILENAMES.items():
-        resp = requests.get(_JHU_BASE + name, timeout=timeout)
-        resp.raise_for_status()
-        path = os.path.join(dest_dir, name)
-        with open(path, "wb") as fh:
-            fh.write(resp.content)
-        out[kind] = path
-    return out

@@ -78,6 +78,47 @@ def convolve_direct(cases, k, a, b):
     return np.array(out)
 
 
+def _profile_terms(cases, deaths, k, a):
+    # day-step state s(t) = a*s(t-1) + n(t-k) and its a-derivative
+    # ds(t) = a*ds(t-1) + s(t-1); returns the best scale b and r . ds/da
+    s = ds = 0.0
+    states, slopes = [], []
+    for t in range(len(cases)):
+        ds = a * ds + s
+        s = a * s + (cases[t - k] if t >= k else 0.0)
+        states.append(s)
+        slopes.append(ds)
+    b = math.fsum(d * s for d, s in zip(deaths, states)) / math.fsum(s * s for s in states)
+    resid = [d - b * s for d, s in zip(deaths, states)]
+    return b, math.fsum(r * ds for r, ds in zip(resid, slopes))
+
+
+def profile_optimum(cases, deaths, k, lo, hi):
+    """Least-squares kernel (a, b) for a fixed delay k by bisection in [lo, hi].
+
+    With b the closed-form best scale, the profile sum (d - b*s)^2 has slope
+    -2*b*(r . ds/da); bisection follows its sign until the bracket stops
+    shrinking.  The slope must fall on the low end and rise on the high end.
+    """
+    def rising(a):
+        b, r_ds = _profile_terms(cases, deaths, k, a)
+        if b <= 0.0:
+            raise ValueError("best scale is not positive at a=%r" % a)
+        return r_ds < 0.0
+
+    if rising(lo) or not rising(hi):
+        raise ValueError("[%r, %r] does not bracket a profile minimum" % (lo, hi))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if rising(mid):
+            hi = mid
+        else:
+            lo = mid
+    return mid, _profile_terms(cases, deaths, k, mid)[0]
+
+
 def quad_exponential_arcs(i0, arcs, h=1e-4):
     """Dense trapezoid over chained exponential arcs [(rate, duration), ...]."""
     total = 0.0

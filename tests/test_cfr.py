@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lockcycle import CfrModel, DailySeries, cfr_from_params, fit_cfr, predict_deaths
-from lockcycle.cfr import parameter_cvs
+from lockcycle.cfr import _delayed, _one_pole, _profile_slopes, parameter_cvs
 
 import oracles
 
@@ -88,18 +88,76 @@ def test_predict_short_series_is_empty():
     assert got.kind == "daily_deaths"
 
 
+# --- filter ---------------------------------------------------------------------
+
+DECAYS = [0.0, 0.5, 0.943, 0.999999]
+
+
+@pytest.mark.parametrize("days", [1, 20, 101])
+def test_one_pole_matches_direct_convolution(days):
+    # one day, less than a block, and a length that is not a whole number
+    # of blocks
+    rng = np.random.default_rng(days)
+    cases = rng.uniform(0.0, 300.0, days)
+    rows = rng.uniform(0.0, 300.0, (len(DECAYS), days))
+    shared = _one_pole(cases, DECAYS)
+    batched = _one_pole(rows, DECAYS)
+    assert shared.shape == batched.shape == (len(DECAYS), days)
+    for i, a in enumerate(DECAYS):
+        expected = oracles.convolve_direct(cases, 0, a, 1.0)
+        np.testing.assert_allclose(_one_pole(cases, a), expected, rtol=1e-13)
+        np.testing.assert_allclose(shared[i], expected, rtol=1e-13)
+        np.testing.assert_allclose(batched[i], oracles.convolve_direct(rows[i], 0, a, 1.0),
+                                   rtol=1e-13)
+
+
+def test_one_pole_decay_derivative_matches_central_difference():
+    rng = np.random.default_rng(5)
+    cases = rng.uniform(0.0, 300.0, 101)
+    h = 1e-6
+    for a in DECAYS:
+        ds_da = _one_pole(_delayed(_one_pole(cases, a), 1), a)
+        central = (_one_pole(cases, a + h) - _one_pole(cases, a - h)) / (2.0 * h)
+        np.testing.assert_allclose(ds_da, central, rtol=1e-6)
+
+
+def test_profile_slopes_match_central_differences():
+    rng = np.random.default_rng(9)
+    cases = smooth_case_curve(150, rng)
+    deaths = oracles.convolve_direct(cases, 0, 0.9, 0.003) * np.exp(rng.normal(0.0, 0.1, 150))
+    ahead, mask = deaths[None, :], np.ones((1, 150))
+
+    def profile(a):
+        s = _one_pole(cases, a)
+        return float(deaths @ deaths - (deaths @ s) ** 2 / (s @ s))
+
+    h = 1e-5
+    for a in (0.3, 0.85, 0.95):
+        slope, curvature = _profile_slopes(cases, ahead, mask, np.array([a]))
+        assert slope[0] == pytest.approx((profile(a + h) - profile(a - h)) / (2.0 * h), rel=1e-5)
+        second = (profile(a + h) - 2.0 * profile(a) + profile(a - h)) / h ** 2
+        assert curvature[0] == pytest.approx(second, rel=1e-3)
+
+
 # --- fitting ---------------------------------------------------------------------
 
 def test_fit_recovers_exact_kernel():
     cases = smooth_case_curve(120)
-    deaths = oracles.convolve_direct(cases, 4, 0.91, 0.004)
-    model = fit_cfr(make_cases(cases), make_deaths(deaths), k_range=(0, 10),
-                    smooth_window=1)
-    assert model.delay_k == 4
-    assert abs(model.decay_a - 0.91) <= 1e-6
-    assert abs(model.scale_b - 0.004) <= 1e-6
-    assert abs(model.cfr - 0.004 / 0.09) <= 1e-10
-    assert model.sse <= 1e-12
+    # a = 0 is a pure delay, whose optimum sits on the lower edge of the
+    # decay search; a = 0.995 lies in the top grid cell
+    for k, a, b in ((4, 0.91, 0.004), (4, 0.0, 0.004), (2, 0.995, 0.0004)):
+        deaths = oracles.convolve_direct(cases, k, a, b)
+        model = fit_cfr(make_cases(cases), make_deaths(deaths), k_range=(0, 10),
+                        smooth_window=1)
+        assert model.delay_k == k
+        assert abs(model.decay_a - a) <= 1e-6
+        assert abs(model.scale_b - b) <= 1e-6
+        assert abs(model.cfr - b / (1.0 - a)) <= 1e-10
+        assert model.sse <= 1e-12
+        if a == 0.0:
+            assert model.decay_a <= 1e-12
+            # no percent CV for a decay that is exactly zero
+            assert model.cv_a is None
 
 
 def test_fit_is_smoothing_invariant_on_kernel_data():

@@ -22,6 +22,8 @@ from lockcycle.cli import (
     verify_checksums,
 )
 
+import oracles
+
 D = dt.date
 
 FILES = {
@@ -49,10 +51,15 @@ def israel(data_dir):
 
 
 @pytest.fixture(scope="module")
-def israel_fit(israel):
+def fit_inputs(israel):
     new_cases = ser.window(ser.difference(israel["confirmed"]), FIT_FROM, FIT_TO)
     daily_deaths = ser.window(ser.difference(israel["deaths"]), FIT_FROM, FIT_TO)
-    return fit_cfr(new_cases, daily_deaths)
+    return new_cases, daily_deaths
+
+
+@pytest.fixture(scope="module")
+def israel_fit(fit_inputs):
+    return fit_cfr(*fit_inputs)
 
 
 def test_snapshot_checksums_are_clean(data_dir):
@@ -93,10 +100,20 @@ def test_peak_to_start_ratio_of_active_curve(israel):
 def test_fatality_kernel_fit(israel_fit):
     fit = israel_fit
     assert fit.delay_k == 3
-    assert fit.decay_a == pytest.approx(0.9393724240119018, rel=1e-9)
-    assert fit.scale_b == pytest.approx(0.0005003997845215795, rel=1e-9)
+    assert fit.decay_a == pytest.approx(0.9393724244736548, rel=1e-9)
+    assert fit.scale_b == pytest.approx(0.0005003997811273047, rel=1e-9)
     assert fit.cfr == pytest.approx(0.008253666361653861, rel=1e-9)
     assert fit.sse == pytest.approx(1285.5221644869553, rel=1e-6)
+
+
+def test_kernel_pins_are_the_profile_optimum(fit_inputs):
+    # the decay/scale pins above come from this independent day-step
+    # bisection at the fitted delay, not from the library's own output
+    cases, deaths = (ser.moving_average(s, 7) for s in fit_inputs)
+    assert cases.start_date == deaths.start_date and len(cases) == len(deaths)
+    a, b = oracles.profile_optimum(list(cases.values), list(deaths.values), 3, 0.9, 0.98)
+    assert a == pytest.approx(0.9393724244736548, rel=1e-12)
+    assert b == pytest.approx(0.0005003997811273047, rel=1e-12)
 
 
 def test_fit_uncertainty_is_moderate(israel_fit):

@@ -229,7 +229,7 @@ def check_fit(n, deaths_cum):
     """Run the real estimation pipeline and report what it finds."""
     sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
     from lockcycle.series import DailySeries, difference, window
-    from lockcycle.cfr import fit, _fit_decay, moving_average, _align
+    from lockcycle.cfr import fit
 
     conf = DailySeries(START, np.cumsum(n), "confirmed_cumulative")
     dead = DailySeries(START, deaths_cum, "deaths_cumulative")
@@ -239,9 +239,8 @@ def check_fit(n, deaths_cum):
     model = fit(cases, deaths, k_range=(0, 15), smooth_window=7)
 
     # margin of the delay choice against the neighbours
-    ns, ds = moving_average(cases, 7), moving_average(deaths, 7)
-    _, nv, dv = _align(ns, ds)
-    sse = {k: _fit_decay(nv, dv, k)[2] for k in (model.delay_k - 1, model.delay_k, model.delay_k + 1)}
+    sse = {k: fit(cases, deaths, k_range=(k, k), smooth_window=7).sse
+           for k in (model.delay_k - 1, model.delay_k, model.delay_k + 1) if k >= 0}
     return model, sse
 
 
