@@ -26,8 +26,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import cfr as cfr_fit
 from . import core, costs
 from . import series as ser
@@ -183,8 +181,8 @@ def _resolve_params(opt) -> core.StrategyParams:
 
 def _json_writer(payload):
     def write(fh):
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        # serialise first, so a non-finite value fails before any byte is written
+        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return write
 
 
@@ -223,9 +221,9 @@ def _emit(opt, human_lines, writers) -> None:
         print(line)
 
 
-def _load_country(data_dir, country, kinds=ser.CUMULATIVE_KINDS):
+def _load_country(data_dir, country, kinds=None):
     out = []
-    for kind in kinds:
+    for kind in kinds or ser.CUMULATIVE_KINDS:
         path = os.path.join(data_dir, ser.JHU_FILENAMES[kind])
         out.append(ser.parse_jhu_timeseries(path, country, kind))
     return out
@@ -308,7 +306,7 @@ def cmd_simulate(opt) -> int:
     else:
         raise ValueError("--order must be oc, co or oc-then-co")
     traj = core.solve_trajectory(params.i0, sched, params.gamma, sample_step=step)
-    peak = int(np.argmax(traj.active))
+    peak = int(traj.active.argmax())
     payload = {
         "order": order,
         "gamma": params.gamma,
@@ -463,6 +461,9 @@ def cmd_ingest(opt) -> int:
 
 def cmd_validate(opt) -> int:
     data_dir = opt("data_dir", default_data_dir())
+    cfr_flag = opt("cfr")
+    if cfr_flag is not None and not (math.isfinite(cfr_flag) and 0.0 <= cfr_flag <= 1.0):
+        raise ValueError("--cfr must be a finite fraction in [0, 1], got %r" % cfr_flag)
     problems = verify_checksums(data_dir)
     if problems:
         for p in problems:
@@ -475,7 +476,6 @@ def cmd_validate(opt) -> int:
     oc_cases = confirmed.value_on(CYCLE_SPLIT) - confirmed.value_on(OC_START)
     co_cases = confirmed.value_on(PERIOD_END) - confirmed.value_on(CYCLE_SPLIT)
 
-    cfr_flag = opt("cfr")
     if cfr_flag is not None:
         cfr_used, cfr_source = float(cfr_flag), "flag"
     else:
@@ -486,7 +486,7 @@ def cmd_validate(opt) -> int:
         cfr_used, cfr_source = float(model.cfr), "fitted"
 
     two_cycles = ser.window(active, OC_START, PERIOD_END)
-    predicted = float(np.max(two_cycles.values)) / two_cycles.value_on(OC_START)
+    predicted = float(two_cycles.values.max()) / two_cycles.value_on(OC_START)
 
     report = ValidationReport(
         oc_window=(OC_START, CYCLE_SPLIT),

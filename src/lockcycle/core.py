@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_GAMMA",
@@ -43,6 +45,12 @@ CO = "CO"
 CUSTOM = "CUSTOM"
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be a finite number, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class StrategyParams:
     """Parameters of a two-phase periodic control strategy.
@@ -64,6 +72,7 @@ class StrategyParams:
     beta: float
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not self.r_open > 1:
@@ -82,6 +91,7 @@ class StrategyParams:
     @classmethod
     def from_reproduction_numbers(cls, gamma: float, r_open: float, r_close: float,
                                   i0: float, period: float) -> "StrategyParams":
+        _require_finite(gamma=gamma, r_open=r_open, r_close=r_close, i0=i0, period=period)
         return cls(
             gamma=gamma,
             r_open=r_open,
@@ -100,6 +110,7 @@ class StrategyParams:
         Requires beta <= gamma: a decay rate faster than removal would need a
         negative reproduction number during the close phase.
         """
+        _require_finite(alpha=alpha, beta=beta, i0=i0, period=period, gamma=gamma)
         if not gamma > 0:
             raise ValueError("gamma must be positive")
         if not (alpha > 0 and beta > 0):
@@ -212,6 +223,8 @@ class Trajectory:
     segments: tuple
 
     def __post_init__(self):
+        import numpy as np
+
         times = np.asarray(self.times, dtype=float)
         active = np.asarray(self.active, dtype=float)
         times.flags.writeable = False
@@ -253,6 +266,7 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
         raise ValueError("gamma must be positive")
     if not sample_step > 0:
         raise ValueError("sample_step must be positive")
+    import numpy as np
 
     segments = []
     boundaries = [(0.0, float(i0))]

@@ -13,10 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Trajectory
-from .series import DailySeries
+from .core import Trajectory, _require_finite
 
 __all__ = [
     "CostReport",
@@ -52,6 +49,7 @@ class CostReport:
 
 
 def _check_rates(alpha: float, beta: float, i0: float, period: float) -> None:
+    _require_finite(alpha=alpha, beta=beta, i0=i0, period=period)
     if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
     if not i0 > 0:
@@ -101,6 +99,7 @@ def cost_co(alpha: float, beta: float, i0: float, period: float,
 
 def cost_const(i0: float, period: float, gamma: float | None = None) -> CostReport:
     """Cost of holding the active count flat at i0 for the whole period."""
+    _require_finite(i0=i0, period=period)
     if not i0 > 0:
         raise ValueError("i0 must be positive")
     if not period > 0:
@@ -141,6 +140,8 @@ def cost_ratio(oc: CostReport, co: CostReport) -> float:
 
 def auc_trapezoid(times, values) -> float:
     """Trapezoidal area for empirical samples (half-weight endpoints)."""
+    import numpy as np
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
@@ -148,6 +149,12 @@ def auc_trapezoid(times, values) -> float:
     if len(times) < 2:
         raise ValueError("need at least two samples")
     return float(np.trapezoid(values, times))
+
+
+def _is_daily_series(traj) -> bool:
+    # Duck-typed so this module does not import series (and numpy with it):
+    # a DailySeries is the only accepted input carrying a start_date.
+    return hasattr(traj, "start_date")
 
 
 def auc_numeric(traj) -> float:
@@ -166,8 +173,8 @@ def auc_numeric(traj) -> float:
             else:
                 parts.append((seg.end_value - seg.start_value) / seg.rate)
         return math.fsum(parts)
-    if isinstance(traj, DailySeries):
-        return auc_trapezoid(np.arange(len(traj), dtype=float), traj.values)
+    if _is_daily_series(traj):
+        return auc_trapezoid(range(len(traj)), traj.values)
     times, values = traj
     return auc_trapezoid(times, values)
 
@@ -177,7 +184,7 @@ def _endpoints(traj):
     if isinstance(traj, Trajectory):
         t_end, i_end = traj.phase_boundaries[-1]
         return traj.phase_boundaries[0][1], i_end, t_end
-    if isinstance(traj, DailySeries):
+    if _is_daily_series(traj):
         if len(traj) < 2:
             raise ValueError("need at least two samples")
         return float(traj.values[0]), float(traj.values[-1]), float(len(traj) - 1)

@@ -175,7 +175,15 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
             continue
         if province is not None and row[0] != province:
             continue
-        total += np.array([float(x) if x.strip() else 0.0 for x in row[4:]])
+        try:
+            values = np.array([float(x) if x.strip() else 0.0 for x in row[4:]])
+        except ValueError as exc:
+            raise ValueError("%s: line %d: %s" % (path, lineno, exc)) from None
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError("%s: line %d has the non-finite value %r on %s"
+                             % (path, lineno, row[4 + bad[0]].strip(), dates[bad[0]]))
+        total += values
         matched += 1
     if matched == 0:
         raise ValueError("country %r%s not found in %s; available countries: %s"
@@ -304,10 +312,11 @@ def write_long_csv(series_list, dest) -> None:
 def write_long_json(series_list, dest) -> None:
     payload = [{"date": day.isoformat(), "kind": kind, "value": v}
                for day, kind, v in series_to_rows(series_list)]
+    # serialise first, so a non-finite value fails before dest is touched
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     fh, owned = _open_out(dest)
     try:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
     finally:
         if owned:
             fh.close()

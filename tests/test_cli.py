@@ -1,5 +1,6 @@
 """Command line behavior: payloads, output routing, config handling, exit codes."""
 
+import io
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import pytest
 
 import lockcycle.series as ser
 from lockcycle import ValidationReport, parse_jhu_timeseries, read_long_csv, read_long_json
-from lockcycle.cli import main
+from lockcycle.cli import _json_writer, main
 
 
 def run(capsys, *argv):
@@ -340,6 +341,44 @@ class TestBadArguments:
         rc, out, err = run(capsys, "fit-cfr", "--country", "Atlantis")
         assert rc == 2
         assert "available countries" in err
+
+    @pytest.mark.parametrize("argv, field", [
+        (("schedule", "--i0", "inf"), "i0"),
+        (("compare-costs", "--period", "inf"), "period"),
+        (("simulate", "--i0", "inf", "--period", "2"), "i0"),
+        (("validate", "--cfr", "-1"), "--cfr"),
+        (("validate", "--cfr", "2"), "--cfr"),
+        (("validate", "--cfr", "inf"), "--cfr"),
+        (("validate", "--cfr", "nan"), "--cfr"),
+    ])
+    def test_non_finite_or_out_of_range_input_exits_two(self, capsys, argv, field):
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: %s must be a finite" % field)
+
+    @pytest.mark.parametrize("command", ["fit-cfr", "ingest"])
+    def test_non_finite_data_cell_exits_two(self, capsys, data_dir, tmp_path, command):
+        work = tmp_path / "data"
+        shutil.copytree(data_dir, work)
+        target = work / "time_series_covid19_confirmed_global.csv"
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines, 1) if ",Israel," in line)
+        cells = lines[lineno - 1].split(",")
+        cells[4 + 300] = "nan"  # 300 days after 1/22/20
+        lines[lineno - 1] = ",".join(cells)
+        target.write_text("".join(lines), encoding="utf-8")
+        rc, out, err = run(capsys, command, "--data-dir", str(work), "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert str(target) in err
+        assert "line %d has the non-finite value 'nan' on 2020-11-17" % lineno in err
+
+    def test_json_writer_rejects_nan_before_writing(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            _json_writer({"ok": 1.0, "bad": float("nan")})(buf)
+        assert buf.getvalue() == ""
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -69,6 +69,20 @@ def test_invalid_sizes():
         StrategyParams.from_growth_rates(0.1, -0.05, 100.0, 10.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_are_rejected(bad):
+    rates = dict(alpha=0.1, beta=0.05, i0=100.0, period=10.0, gamma=0.1)
+    repro = dict(gamma=0.1, r_open=2.0, r_close=0.5, i0=100.0, period=10.0)
+    for build, kwargs in ((StrategyParams.from_growth_rates, rates),
+                          (StrategyParams.from_reproduction_numbers, repro)):
+        for name in kwargs:
+            with pytest.raises(ValueError, match="%s must be a finite number" % name):
+                build(**dict(kwargs, **{name: bad}))
+    # a finite input whose derived rate overflows is caught on the derived field
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        StrategyParams.from_reproduction_numbers(1e300, 1e300, 0.5, 100.0, 10.0)
+
+
 def test_decay_faster_than_removal_is_rejected():
     # beta > gamma would need a negative close-phase reproduction number
     with pytest.raises(ValueError, match="gamma"):

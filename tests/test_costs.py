@@ -84,6 +84,20 @@ def test_preconditions():
         cost_const(0.0, 10.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_are_rejected(bad):
+    for position, name in enumerate(("alpha", "beta", "i0", "period")):
+        args = list(BASE)
+        args[position] = bad
+        for cost in (cost_oc, cost_co):
+            with pytest.raises(ValueError, match="%s must be a finite number" % name):
+                cost(*args)
+    with pytest.raises(ValueError, match="i0 must be a finite number"):
+        cost_const(bad, 10.0)
+    with pytest.raises(ValueError, match="period must be a finite number"):
+        cost_const(100.0, bad)
+
+
 # --- ratio ----------------------------------------------------------------------
 
 def test_cost_ratio_baseline():

@@ -1,18 +1,91 @@
-"""The package and its command line import nothing heavier than numpy."""
+"""The import contract, checked in fresh interpreters.
 
+The package loads only its numpy-free core and costs modules; cfr and series
+are lazy modules and the other exports resolve on first use, so the
+closed-form commands run without numpy.  Nothing heavier than numpy is ever
+imported.
+"""
+
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
+import pytest
+
+from lockcycle.cli import main
+
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
+def python(*args):
+    proc = subprocess.run([sys.executable, *args], env=ENV,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout, proc.stderr
+
+
+def loaded(prefixes, setup):
+    code = ("import sys\n%s\n"
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in %r)))" % (setup, prefixes))
+    return python("-c", code)[0].split()
 
 
 def test_import_pulls_in_no_scipy_or_requests():
-    code = ("import sys, lockcycle, lockcycle.cli; "
-            "print(' '.join(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'requests'))))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == []
+    assert loaded(("scipy", "requests"), "import lockcycle, lockcycle.cli") == []
+
+
+@pytest.mark.parametrize("command", ["schedule", "compare-costs"])
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
+def test_closed_form_commands_never_load_numpy(command, fmt):
+    setup = ("import contextlib, io\nfrom lockcycle.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert main(%r) == 0" % [command, *fmt])
+    assert loaded(("numpy",), setup) == []
+
+
+def test_cli_import_registers_every_layer():
+    # A tracer that wraps each layer's __all__ functions reads the layers
+    # from sys.modules right after importing lockcycle.cli.
+    code = ("import inspect, sys, lockcycle.cli\n"
+            "for layer in ('core', 'costs', 'cfr', 'series'):\n"
+            "    module = sys.modules['lockcycle.' + layer]\n"
+            "    functions = [n for n in module.__all__\n"
+            "                 if inspect.isfunction(getattr(module, n))]\n"
+            "    print(layer, len(functions))")
+    counts = dict(line.split() for line in python("-c", code)[0].splitlines())
+    assert set(counts) == {"core", "costs", "cfr", "series"}
+    assert all(int(n) > 0 for n in counts.values())
+
+
+def test_exports_are_their_submodules_objects():
+    code = ("import lockcycle\n"
+            "from lockcycle import cfr, cli, core, costs, series\n"
+            "origin = {'fit_cfr': (cfr, 'fit')}\n"
+            "for mod in (core, costs, cfr, series, cli):\n"
+            "    for name in dir(mod):\n"
+            "        origin.setdefault(name, (mod, name))\n"
+            "for name in lockcycle.__all__:\n"
+            "    mod, attr = origin[name]\n"
+            "    assert getattr(lockcycle, name) is getattr(mod, attr), name\n"
+            "assert set(lockcycle.__all__) <= set(dir(lockcycle))\n"
+            "assert {'cfr', 'cli', 'core', 'costs', 'series'} <= set(dir(lockcycle))\n"
+            "try:\n"
+            "    lockcycle.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)")
+    out = python("-c", code)[0]
+    assert out.strip() == "module 'lockcycle' has no attribute 'no_such_name'"
+
+
+@pytest.mark.parametrize("module", ["lockcycle", "lockcycle.cli"])
+def test_python_dash_m_matches_the_entry_point(module):
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        assert main(["schedule", "--format", "json"]) == 0
+    out, err = python("-m", module, "schedule", "--format", "json")
+    assert out == expected.getvalue()
+    assert err == ""

@@ -128,6 +128,21 @@ class TestWideFormatParsing:
         with pytest.raises(ValueError, match="line 3 has 5 fields, expected 6"):
             parse_jhu_timeseries(p, "X")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_rejects_non_finite_cell(self, tmp_path, cell):
+        p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,1/23/20\n"
+                                              ",X,0,0,1,2\n"
+                                              ",X,0,0,3,%s\n" % cell)
+        with pytest.raises(ValueError) as exc:
+            parse_jhu_timeseries(p, "X")
+        assert str(exc.value) == ("%s: line 3 has the non-finite value %r on 2020-01-23"
+                                  % (p, cell))
+
+    def test_rejects_non_numeric_cell(self, tmp_path):
+        p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20\n,X,0,0,many\n")
+        with pytest.raises(ValueError, match="line 2: could not convert"):
+            parse_jhu_timeseries(p, "X")
+
     def test_rejects_gap_in_date_columns(self, tmp_path):
         p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,1/24/20\n,X,0,0,1,2\n")
         with pytest.raises(ValueError, match="consecutive days"):
@@ -324,6 +339,17 @@ class TestLongFormat:
             got = back[original.kind]
             assert got.start_date == original.start_date
             assert np.array_equal(got.values, original.values)
+
+    def test_json_writer_rejects_nan_before_touching_dest(self, tmp_path):
+        bad = DailySeries(D(2020, 5, 1), [1.0, float("nan")], "new_cases")
+        path = tmp_path / "long.json"
+        with pytest.raises(ValueError):
+            write_long_json([bad], str(path))
+        assert not path.exists()
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            write_long_json([bad], buf)
+        assert buf.getvalue() == ""
 
     def test_writers_accept_open_streams(self):
         cases, _ = self.make_pair()
