@@ -2,12 +2,14 @@
 
 Exact cycle dynamics and scheduling (core), area-under-curve cost comparison
 of cycle orders (costs), delay-kernel case-fatality estimation (cfr), public
-case-data ingestion (series), and a reporting command line (cli).
+case-data ingestion (series), the two-cycle snapshot validation (validation),
+and a command line that parses, calls and renders (cli).
 
 Only the numpy-free core and costs modules load with the package.  cfr and
 series are registered as lazy modules that execute (and import numpy) on
 first attribute access, and the names they export, like ValidationReport from
-cli, resolve on first use.  So the closed-form commands never load numpy.
+validation, resolve on first use.  So the closed-form commands never load
+numpy.
 """
 
 import sys as _sys
@@ -37,14 +39,14 @@ def _lazy_submodule(name):
 cfr = _lazy_submodule("cfr")
 series = _lazy_submodule("series")
 
-# Exports of the lazy modules and of cli, resolved by __getattr__ on first use.
+# Exports of the lazy modules and of validation, resolved by __getattr__ on first use.
 _DEFERRED = {
     "cfr": ("CfrModel", "cfr_from_params", "fit_cfr", "parameter_cvs", "predict_deaths"),
     "series": ("DailySeries", "IngestReport", "active_cases", "difference",
                "ingest_report", "moving_average", "parse_jhu_timeseries",
                "read_long_csv", "read_long_json", "window", "write_long_csv",
                "write_long_json"),
-    "cli": ("ValidationReport",),
+    "validation": ("ValidationReport",),
 }
 _ORIGIN = {name: module for module, names in _DEFERRED.items() for name in names}
 
@@ -52,8 +54,8 @@ __all__ = [*core.__all__, *costs.__all__, *_ORIGIN]
 
 
 def __getattr__(name):
-    if name == "cli":
-        return _import_module(".cli", __name__)
+    if name in ("cli", "validation"):
+        return _import_module("." + name, __name__)
     if name not in _ORIGIN:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     module = _import_module("." + _ORIGIN[name], __name__)
@@ -63,4 +65,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, "cli"})
+    return sorted({*globals(), *__all__, "cli", "validation"})

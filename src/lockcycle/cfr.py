@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import DailySeries, moving_average
+from .series import DailySeries, moving_average, overlap
 
 __all__ = [
     "CfrModel",
@@ -77,11 +77,8 @@ class CfrModel:
 
 
 def cfr_from_params(a: float, b: float) -> float:
-    if not 0.0 <= a < 1.0:
-        raise ValueError("a must lie in [0, 1) for the kernel mass to converge")
-    if b < 0:
-        raise ValueError("b must be non-negative")
-    return b / (1.0 - a)
+    """Kernel mass b/(1-a) of a decay a and a scale b."""
+    return CfrModel(0, a, b).cfr
 
 
 def _delayed(values: np.ndarray, k: int) -> np.ndarray:
@@ -238,19 +235,6 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     return a, b, head + _rowdot(resid, resid)
 
 
-def _align(x: DailySeries, y: DailySeries):
-    start = max(x.start_date, y.start_date)
-    end = min(x.end_date, y.end_date)
-    if end < start:
-        raise ValueError("series date ranges do not overlap")
-
-    def cut(s):
-        i = (start - s.start_date).days
-        return s.values[i:i + (end - start).days + 1]
-
-    return start, cut(x), cut(y)
-
-
 def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
         smooth_window: int = 7) -> CfrModel:
     """Fit the delay kernel to observed daily cases and deaths.
@@ -280,7 +264,7 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
 
     cases_s = moving_average(new_cases, smooth_window)
     deaths_s = moving_average(deaths, smooth_window)
-    start, n, d = _align(cases_s, deaths_s)
+    start, (n, d) = overlap(cases_s, deaths_s)
     if len(n) < 60:
         raise ValueError("need at least 60 aligned points after smoothing, have %d" % len(n))
     if k_hi >= len(n):
@@ -290,9 +274,8 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
 
     if not np.any(d != 0.0):
         # no deaths at all: b = 0 fits every delay equally well
-        model = CfrModel(k_lo, 0.0, 0.0, sse=0.0, cv_a=None, cv_b=None,
-                         fitted_deaths=DailySeries(start, np.zeros(len(d)), "daily_deaths"))
-        return model
+        return CfrModel(k_lo, 0.0, 0.0, sse=0.0, cv_a=None, cv_b=None,
+                        fitted_deaths=DailySeries(start, np.zeros(len(d)), "daily_deaths"))
 
     ks = np.arange(k_lo, k_hi + 1)
     a_by_k, b_by_k, sse_by_k = _fit_decays(n, d, ks)

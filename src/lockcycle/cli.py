@@ -18,16 +18,12 @@ mismatch), 3 validation ran but a tolerance check failed.
 
 import argparse
 import csv
-import dataclasses
 import datetime as dt
-import hashlib
 import json
-import math
-import os
 import sys
 
 from . import cfr as cfr_fit
-from . import core, costs
+from . import core, costs, validation
 from . import series as ser
 
 EXIT_OK = 0
@@ -41,66 +37,6 @@ DEFAULT_ALPHA = 0.0410
 DEFAULT_BETA = 0.0553
 DEFAULT_I0 = 21000.0
 DEFAULT_PERIOD = 54.0
-
-# Validation geometry: two back-to-back 54-day cycles, open-first then
-# close-first, with case totals read off the cumulative confirmed curve at
-# the cycle boundaries.
-OC_START = dt.date(2020, 8, 30)
-CYCLE_SPLIT = dt.date(2020, 10, 23)
-PERIOD_END = dt.date(2020, 12, 16)
-
-ANCHORS = (
-    (dt.date(2020, 8, 30), 20876.0),
-    (dt.date(2020, 10, 3), 71114.0),
-    (dt.date(2020, 11, 16), 8697.0),
-    (dt.date(2020, 12, 16), 20791.0),
-)
-
-FIT_FROM = dt.date(2020, 6, 1)
-FIT_TO = dt.date(2020, 12, 29)
-
-# (name, center, tolerance, kind); rel = fraction of center, abs = plain band
-TOLERANCES = (
-    ("oc_cases", 190000.0, 0.03, "rel"),
-    ("co_cases", 52000.0, 0.03, "rel"),
-    ("oc_deaths_est", 1600.0, 0.05, "rel"),
-    ("co_deaths_est", 440.0, 0.05, "rel"),
-    ("death_ratio", 3.7, 0.2, "abs"),
-    ("predicted_ratio_from_model", 3.6, 0.2, "abs"),
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the two-cycle validation on a snapshot.
-
-    Windows are half-open [start, end) boundary pairs; case totals are the
-    cumulative confirmed differences across those boundaries.  The death
-    estimates and the ratio are exact arithmetic on the other fields, which
-    the constructor enforces.
-    """
-
-    oc_window: tuple
-    co_window: tuple
-    oc_cases: float
-    co_cases: float
-    cfr_used: float
-    oc_deaths_est: float
-    co_deaths_est: float
-    death_ratio: float
-    predicted_ratio_from_model: float
-
-    def __post_init__(self):
-        if self.oc_deaths_est != self.oc_cases * self.cfr_used:
-            raise ValueError("oc_deaths_est must equal oc_cases * cfr_used")
-        if self.co_deaths_est != self.co_cases * self.cfr_used:
-            raise ValueError("co_deaths_est must equal co_cases * cfr_used")
-        if self.death_ratio != self.oc_cases / self.co_cases:
-            raise ValueError("death_ratio must equal oc_cases / co_cases")
-
-
-def default_data_dir() -> str:
-    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def _s3(x) -> str:
@@ -117,21 +53,20 @@ def _parse_iso(text, flag):
 
 # --- config files ----------------------------------------------------------
 
-_FLOAT_KEYS = ("alpha", "beta", "gamma", "r_open", "r_close", "i0", "period",
-               "step", "cfr")
-_INT_KEYS = ("k_min", "k_max", "smooth_window")
-_STR_KEYS = ("order", "country", "format", "out", "data_dir",
-             "date_from", "date_to")
-_KEY_ALIASES = {"from": "date_from", "to": "date_to"}
+def load_config(path, parser):
+    """Read a key=value file mirroring the long flags of parser's subcommands.
 
-
-def load_config(path):
-    """Read a key=value file mirroring the long flags.
-
-    Hyphens and underscores are interchangeable in keys, 'from'/'to' are
-    accepted for the date range, blank lines and #-comments are ignored,
-    and unknown keys are rejected so typos do not silently vanish.
+    A key is an option's dest or its long flag without the dashes ('from'
+    and 'date_from' alike), hyphens and underscores are interchangeable,
+    values convert with the option's type, blank lines and #-comments are
+    ignored, and unknown keys are rejected so typos do not silently vanish.
     """
+    keys = {}  # key -> (dest, type)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in (a for sp in commands.choices.values() for a in sp._actions):
+        if action.nargs != 0:  # not a flag without a value, such as --help
+            for name in (action.dest, *(o.lstrip("-") for o in action.option_strings)):
+                keys[name.replace("-", "_")] = (action.dest, action.type or str)
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -142,16 +77,10 @@ def load_config(path):
                 raise ValueError("%s:%d: expected key=value, got %r" % (path, lineno, line))
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            key = _KEY_ALIASES.get(key, key)
-            value = value.strip()
-            if key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _STR_KEYS:
-                out[key] = value
-            else:
+            if key not in keys:
                 raise ValueError("%s:%d: unknown config key %r" % (path, lineno, key))
+            dest, convert = keys[key]
+            out[dest] = convert(value.strip())
     return out
 
 
@@ -179,13 +108,6 @@ def _resolve_params(opt) -> core.StrategyParams:
         opt("alpha", DEFAULT_ALPHA), opt("beta", DEFAULT_BETA), i0, period, gamma=gamma)
 
 
-def _json_writer(payload):
-    def write(fh):
-        # serialise first, so a non-finite value fails before any byte is written
-        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    return write
-
-
 def _cell(v):
     if v is None:
         return ""
@@ -194,67 +116,39 @@ def _cell(v):
     return str(v)
 
 
-def _kv_csv_writer(pairs):
+def _csv_writer(header, rows):
+    # writes a CSV document: the header row, then rows of cells
     def write(fh):
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["field", "value"])
-        for key, value in pairs:
-            w.writerow([key, _cell(value)])
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
     return write
 
 
-def _emit(opt, human_lines, writers) -> None:
-    fmt = opt("format")
-    out = opt("out")
+def _render(opt, human, payload, write_csv) -> None:
+    """Write one command's result in the format the options ask for.
+
+    human is the summary's lines, payload the JSON document and write_csv
+    writes the CSV document to a file object.
+    """
+    fmt, out = opt("format"), opt("out")
     if out and fmt is None:
         fmt = "csv" if out.endswith(".csv") else "json"
-    if fmt is not None:
-        if fmt not in writers:
-            raise ValueError("this command has no %s output" % fmt)
-        if out:
-            with open(out, "w", newline="", encoding="utf-8") as fh:
-                writers[fmt](fh)
-        else:
-            writers[fmt](sys.stdout)
-            return
-    for line in human_lines:
-        print(line)
-
-
-def _load_country(data_dir, country, kinds=None):
-    out = []
-    for kind in kinds or ser.CUMULATIVE_KINDS:
-        path = os.path.join(data_dir, ser.JHU_FILENAMES[kind])
-        out.append(ser.parse_jhu_timeseries(path, country, kind))
-    return out
-
-
-def verify_checksums(data_dir):
-    """Compare every file listed in MANIFEST.json against its sha256.
-
-    Returns a list of problem strings; empty means the snapshot is intact.
-    """
-    manifest_path = os.path.join(data_dir, "MANIFEST.json")
-    if not os.path.exists(manifest_path):
-        return ["missing MANIFEST.json in %s" % data_dir]
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
-        return ["unreadable MANIFEST.json: %s" % exc]
-    problems = []
-    for name in sorted(manifest.get("files", {})):
-        expected = manifest["files"][name]["sha256"]
-        path = os.path.join(data_dir, name)
-        if not os.path.exists(path):
-            problems.append("missing data file %s" % name)
-            continue
-        with open(path, "rb") as fh:
-            got = hashlib.sha256(fh.read()).hexdigest()
-        if got != expected:
-            problems.append("checksum mismatch for %s: manifest has %s, file hashes to %s"
-                            % (name, expected, got))
-    return problems
+    if fmt == "json":
+        # serialise first, so a non-finite value fails before any byte is written
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        write = lambda fh: fh.write(text)
+    elif fmt == "csv":
+        write = write_csv
+    elif fmt is not None:
+        raise ValueError("this command has no %s output" % fmt)
+    if out:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+    elif fmt is not None:
+        write(sys.stdout)
+        return
+    print("\n".join(human))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -287,8 +181,8 @@ def cmd_schedule(opt) -> int:
         "  gamma       %s /day" % _s3(params.gamma),
         "  average R_t over the cycle: %s" % _s3(payload["average_rt"]),
     ]
-    flat = [(k, v) for k, v in payload.items() if k != "phases"]
-    _emit(opt, human, {"json": _json_writer(payload), "csv": _kv_csv_writer(flat)})
+    fields = [(k, v) for k, v in payload.items() if k != "phases"]
+    _render(opt, human, payload, _csv_writer(("field", "value"), fields))
     return EXIT_OK
 
 
@@ -319,13 +213,6 @@ def cmd_simulate(opt) -> int:
         "times": [float(t) for t in traj.times],
         "active": [float(v) for v in traj.active],
     }
-
-    def csv_writer(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["time", "active"])
-        for t, v in zip(traj.times, traj.active):
-            w.writerow([repr(float(t)), repr(float(v))])
-
     human = [
         "active-case trajectory, %s order, %s days" % (order, _s3(sched.period)),
         "  samples     %d (step %s days)" % (len(traj.times), _s3(step)),
@@ -335,7 +222,8 @@ def cmd_simulate(opt) -> int:
     ]
     human += ["  phase edge  day %-8s active %s" % (_s3(t), _s3(v))
               for t, v in traj.phase_boundaries[1:]]
-    _emit(opt, human, {"json": _json_writer(payload), "csv": csv_writer})
+    rows = zip(payload["times"], payload["active"])
+    _render(opt, human, payload, _csv_writer(("time", "active"), rows))
     return EXIT_OK
 
 
@@ -368,20 +256,19 @@ def cmd_compare_costs(opt) -> int:
         "  peak factor       %s (peak %s from %s)"
         % (_s3(payload["peak_factor"]), _s3(oc.i_max), _s3(params.i0)),
     ]
-    _emit(opt, human, {"json": _json_writer(payload),
-                       "csv": _kv_csv_writer(list(payload.items()))})
+    _render(opt, human, payload, _csv_writer(("field", "value"), payload.items()))
     return EXIT_OK
 
 
 def cmd_fit_cfr(opt) -> int:
-    data_dir = opt("data_dir", default_data_dir())
+    data_dir = opt("data_dir", validation.default_data_dir())
     country = opt("country", "Israel")
-    date_from = _parse_iso(opt("date_from", FIT_FROM.isoformat()), "--from")
-    date_to = _parse_iso(opt("date_to", FIT_TO.isoformat()), "--to")
+    date_from = _parse_iso(opt("date_from", validation.FIT_FROM.isoformat()), "--from")
+    date_to = _parse_iso(opt("date_to", validation.FIT_TO.isoformat()), "--to")
     k_min = opt("k_min", 0)
     k_max = opt("k_max", 15)
     smooth = opt("smooth_window", 7)
-    confirmed, deaths = _load_country(data_dir, country, ser.CUMULATIVE_KINDS[:2])
+    confirmed, deaths = ser.load_country(data_dir, country, ser.CUMULATIVE_KINDS[:2])
     new_cases = ser.window(ser.difference(confirmed), date_from, date_to)
     daily_deaths = ser.window(ser.difference(deaths), date_from, date_to)
     model = cfr_fit.fit(new_cases, daily_deaths, k_range=(k_min, k_max),
@@ -415,15 +302,14 @@ def cmd_fit_cfr(opt) -> int:
         human.append("  cv(a)        %s%%" % _s3(model.cv_a))
     if model.cv_b is not None:
         human.append("  cv(b)        %s%%" % _s3(model.cv_b))
-    _emit(opt, human, {"json": _json_writer(payload),
-                       "csv": _kv_csv_writer(list(payload.items()))})
+    _render(opt, human, payload, _csv_writer(("field", "value"), payload.items()))
     return EXIT_OK
 
 
 def cmd_ingest(opt) -> int:
-    data_dir = opt("data_dir", default_data_dir())
+    data_dir = opt("data_dir", validation.default_data_dir())
     country = opt("country", "Israel")
-    confirmed, deaths, recovered = _load_country(data_dir, country)
+    confirmed, deaths, recovered = ser.load_country(data_dir, country)
     derived = [
         confirmed,
         deaths,
@@ -452,67 +338,23 @@ def cmd_ingest(opt) -> int:
                          % (s.kind, report.count,
                             "daily change(s)" if s.kind in ser.CUMULATIVE_KINDS
                             else "value(s)", spots))
-
-    writers = {"csv": lambda fh: ser.write_long_csv(derived, fh),
-               "json": lambda fh: ser.write_long_json(derived, fh)}
-    _emit(opt, human, writers)
+    _render(opt, human, ser.long_records(derived), lambda fh: ser.write_long_csv(derived, fh))
     return EXIT_OK
 
 
 def cmd_validate(opt) -> int:
-    data_dir = opt("data_dir", default_data_dir())
-    cfr_flag = opt("cfr")
-    if cfr_flag is not None and not (math.isfinite(cfr_flag) and 0.0 <= cfr_flag <= 1.0):
-        raise ValueError("--cfr must be a finite fraction in [0, 1], got %r" % cfr_flag)
-    problems = verify_checksums(data_dir)
+    data_dir = opt("data_dir", validation.default_data_dir())
+    cfr = opt("cfr")
+    if cfr is not None:
+        validation.check_cfr(cfr, "--cfr")  # before the snapshot is read
+    problems = validation.verify_checksums(data_dir)
     if problems:
         for p in problems:
             print("snapshot rejected: %s" % p, file=sys.stderr)
         return EXIT_INPUT
 
-    confirmed, deaths, recovered = _load_country(data_dir, "Israel")
-    active = ser.active_cases(confirmed, deaths, recovered)
-
-    oc_cases = confirmed.value_on(CYCLE_SPLIT) - confirmed.value_on(OC_START)
-    co_cases = confirmed.value_on(PERIOD_END) - confirmed.value_on(CYCLE_SPLIT)
-
-    if cfr_flag is not None:
-        cfr_used, cfr_source = float(cfr_flag), "flag"
-    else:
-        new_cases = ser.window(ser.difference(confirmed), FIT_FROM, FIT_TO)
-        daily_deaths = ser.window(ser.difference(deaths), FIT_FROM, FIT_TO)
-        model = cfr_fit.fit(new_cases, daily_deaths, k_range=(0, 15), smooth_window=7)
-        # plain float so downstream arithmetic and json stay numpy-free
-        cfr_used, cfr_source = float(model.cfr), "fitted"
-
-    two_cycles = ser.window(active, OC_START, PERIOD_END)
-    predicted = float(two_cycles.values.max()) / two_cycles.value_on(OC_START)
-
-    report = ValidationReport(
-        oc_window=(OC_START, CYCLE_SPLIT),
-        co_window=(CYCLE_SPLIT, PERIOD_END),
-        oc_cases=oc_cases,
-        co_cases=co_cases,
-        cfr_used=cfr_used,
-        oc_deaths_est=oc_cases * cfr_used,
-        co_deaths_est=co_cases * cfr_used,
-        death_ratio=oc_cases / co_cases,
-        predicted_ratio_from_model=predicted,
-    )
-
-    checks = []
-    for day, expected in ANCHORS:
-        got = active.value_on(day)
-        checks.append({"name": "active_%s" % day.isoformat(), "value": got,
-                       "low": expected, "high": expected, "ok": got == expected})
-    values = dataclasses.asdict(report)
-    for name, center, tol, kind in TOLERANCES:
-        width = center * tol if kind == "rel" else tol
-        got = values[name]
-        checks.append({"name": name, "value": got, "low": center - width,
-                       "high": center + width, "ok": center - width <= got <= center + width})
-    all_ok = all(c["ok"] for c in checks)
-
+    report, checks = validation.validate(data_dir, cfr)
+    cfr_source = "fitted" if cfr is None else "flag"
     payload = {
         "oc_window": [d.isoformat() for d in report.oc_window],
         "co_window": [d.isoformat() for d in report.co_window],
@@ -541,12 +383,11 @@ def cmd_validate(opt) -> int:
         human.append("  %-4s %-28s %s in [%s, %s]"
                      % ("ok" if c["ok"] else "FAIL", c["name"], _s3(c["value"]),
                         _s3(c["low"]), _s3(c["high"])))
-
-    flat = [(k, v) for k, v in payload.items() if k != "checks"]
-    flat = [(k, "%s..%s" % tuple(v) if isinstance(v, list) else v) for k, v in flat]
-    flat += [("check:%s" % c["name"], "PASS" if c["ok"] else "FAIL") for c in checks]
-    _emit(opt, human, {"json": _json_writer(payload), "csv": _kv_csv_writer(flat)})
-    return EXIT_OK if all_ok else EXIT_TOLERANCE
+    fields = [(k, "%s..%s" % tuple(v) if isinstance(v, list) else v)
+              for k, v in payload.items() if k != "checks"]
+    fields += [("check:%s" % c["name"], "PASS" if c["ok"] else "FAIL") for c in checks]
+    _render(opt, human, payload, _csv_writer(("field", "value"), fields))
+    return EXIT_OK if all(c["ok"] for c in checks) else EXIT_TOLERANCE
 
 
 # --- parser and entry point --------------------------------------------------
@@ -577,11 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="structured output path (format inferred "
                                       "from the extension when --format is absent)")
 
-    def add_data(sp, country=True):
+    def add_data(sp):
         sp.add_argument("--data-dir", dest="data_dir",
                         help="snapshot directory, default: bundled data")
-        if country:
-            sp.add_argument("--country", help="Country/Region name, default Israel")
+        sp.add_argument("--country", help="Country/Region name, default Israel")
         sp.add_argument("--from", dest="date_from", help="window start, YYYY-MM-DD")
         sp.add_argument("--to", dest="date_to", help="window end, YYYY-MM-DD")
 
@@ -627,7 +467,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
+        config = load_config(args.config, parser) if args.config else {}
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

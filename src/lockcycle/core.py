@@ -30,6 +30,7 @@ __all__ = [
     "Trajectory",
     "phase_lengths",
     "average_rt",
+    "MAX_SAMPLES",
     "solve_trajectory",
     "swap_cycle",
 ]
@@ -44,11 +45,22 @@ OC = "OC"
 CO = "CO"
 CUSTOM = "CUSTOM"
 
+#: Largest number of samples solve_trajectory takes; a sample_step that would
+#: need more is rejected before any array is allocated.
+MAX_SAMPLES = 1_000_000
+
 
 def _require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError("%s must be a finite number, got %r" % (name, value))
+
+
+def _require_positive(**values) -> None:
+    _require_finite(**values)
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError("%s must be positive" % name)
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,8 @@ class StrategyParams:
     (alpha = gamma*(r_open - 1) for growth, beta = gamma*(1 - r_close) for
     decay).  Build instances through the classmethods; each keeps the pair
     it was given exact and derives the other, so downstream closed forms
-    see the caller's numbers unchanged.
+    see the caller's numbers unchanged.  The range checks name both forms of
+    a failing phase, so they name a field whichever pair the caller gave.
     """
 
     gamma: float
@@ -72,21 +85,17 @@ class StrategyParams:
     beta: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.r_open > 1:
-            raise ValueError("r_open must exceed 1, otherwise there is no growth phase")
+        _require_positive(gamma=self.gamma, i0=self.i0, period=self.period)
+        _require_finite(r_open=self.r_open, r_close=self.r_close, alpha=self.alpha, beta=self.beta)
+        if not (self.alpha > 0 and self.r_open > 1):
+            raise ValueError("alpha must be positive and r_open above 1 for a growth phase; "
+                             "got alpha=%g, r_open=%g" % (self.alpha, self.r_open))
+        if not (self.beta > 0 and self.r_close < 1):
+            raise ValueError("beta must be positive and r_close below 1 for a decay phase; "
+                             "got beta=%g, r_close=%g" % (self.beta, self.r_close))
         if self.r_close < 0:
-            raise ValueError("r_close must be non-negative")
-        if not self.r_close < 1:
-            raise ValueError("r_close must be below 1, otherwise there is no decay phase")
-        if not self.i0 > 0:
-            raise ValueError("i0 must be positive")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("net rates alpha and beta must be positive")
+            raise ValueError("beta=%g exceeds gamma=%g which would imply a negative close-phase "
+                             "reproduction number; pass a larger gamma" % (self.beta, self.gamma))
 
     @classmethod
     def from_reproduction_numbers(cls, gamma: float, r_open: float, r_close: float,
@@ -110,16 +119,8 @@ class StrategyParams:
         Requires beta <= gamma: a decay rate faster than removal would need a
         negative reproduction number during the close phase.
         """
-        _require_finite(alpha=alpha, beta=beta, i0=i0, period=period, gamma=gamma)
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not (alpha > 0 and beta > 0):
-            raise ValueError("alpha and beta must be positive")
-        if beta > gamma:
-            raise ValueError(
-                "beta=%g exceeds gamma=%g which would imply a negative "
-                "close-phase reproduction number; pass a larger gamma" % (beta, gamma)
-            )
+        _require_finite(alpha=alpha, beta=beta, i0=i0, period=period)
+        _require_positive(gamma=gamma)  # the divisor of the derived pair
         return cls(
             gamma=gamma,
             r_open=1.0 + alpha / gamma,
@@ -184,8 +185,7 @@ class PhaseSchedule:
 
     @classmethod
     def close_open(cls, params: StrategyParams) -> "PhaseSchedule":
-        t_open, t_close = phase_lengths(params)
-        return cls((Phase(params.r_close, t_close), Phase(params.r_open, t_open)), CO)
+        return swap_cycle(cls.open_close(params))
 
 
 @dataclass(frozen=True)
@@ -211,15 +211,14 @@ class Segment:
 class Trajectory:
     """Sampled active-case curve plus the exact per-phase structure.
 
-    times/active are the sampled grid.  phase_boundaries holds the exact
-    (time, value) pairs at phase edges computed by sequential closed-form
-    products, so downstream integrals and invariant checks do not depend on
-    the sampling step.  Arrays are frozen after construction.
+    times/active are the sampled grid.  segments holds the exact exponential
+    arcs, chained from the start value by sequential closed-form products,
+    so downstream integrals and invariant checks do not depend on the
+    sampling step.  Arrays are frozen after construction.
     """
 
     times: np.ndarray
     active: np.ndarray
-    phase_boundaries: tuple
     segments: tuple
 
     def __post_init__(self):
@@ -231,6 +230,13 @@ class Trajectory:
         active.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "active", active)
+
+    @property
+    def phase_boundaries(self) -> tuple:
+        """Exact (time, value) pairs at the start and at every phase edge."""
+        first = self.segments[0]
+        return ((first.start_time, first.start_value),
+                *((s.end_time, s.end_value) for s in self.segments))
 
 
 def phase_lengths(params: StrategyParams):
@@ -259,27 +265,24 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     Within phase j the curve is I(t) = I_j * exp(gamma*(rt_j - 1)*(t - t_j)),
     with phase-start values chained exactly from i0.  Samples are taken every
     sample_step days starting at 0, and the cycle end is always included.
+    A sample_step that would take more than MAX_SAMPLES samples is rejected.
     """
-    if not i0 > 0:
-        raise ValueError("i0 must be positive")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if not sample_step > 0:
-        raise ValueError("sample_step must be positive")
+    _require_positive(i0=i0, gamma=gamma, sample_step=sample_step)
     import numpy as np
 
     segments = []
-    boundaries = [(0.0, float(i0))]
     t, val = 0.0, float(i0)
     for ph in schedule.phases:
         rate = gamma * (ph.rt - 1.0)
         segments.append(Segment(t, ph.duration, rate, val, ph.rt))
-        t = t + ph.duration
-        val = val * math.exp(rate * ph.duration)
-        boundaries.append((t, val))
+        t, val = segments[-1].end_time, segments[-1].end_value
     total = t
 
-    n_steps = int(math.floor(total / sample_step + 1e-9))
+    n_steps = total / sample_step + 1e-9
+    if not n_steps < MAX_SAMPLES - 1:  # n_steps + 1 samples, plus the cycle end
+        raise ValueError("sample_step=%g would take %.3g samples over %g days, more than "
+                         "MAX_SAMPLES=%d" % (sample_step, n_steps + 1, total, MAX_SAMPLES))
+    n_steps = int(n_steps)
     times = np.arange(n_steps + 1, dtype=float) * sample_step
     if total - times[-1] > 1e-9 * max(1.0, total):
         times = np.append(times, total)
@@ -292,7 +295,7 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(segments) - 1)
     active = values[idx] * np.exp(rates[idx] * (times - starts[idx]))
 
-    return Trajectory(times, active, tuple(boundaries), tuple(segments))
+    return Trajectory(times, active, tuple(segments))
 
 
 def swap_cycle(schedule: PhaseSchedule) -> PhaseSchedule:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Trajectory, _require_finite
+from .core import Trajectory, _require_positive
 
 __all__ = [
     "CostReport",
@@ -48,14 +48,11 @@ class CostReport:
     cost_ratio_vs_co: float | None = None
 
 
-def _check_rates(alpha: float, beta: float, i0: float, period: float) -> None:
-    _require_finite(alpha=alpha, beta=beta, i0=i0, period=period)
-    if not (alpha > 0 and beta > 0):
-        raise ValueError("alpha and beta must be positive")
-    if not i0 > 0:
-        raise ValueError("i0 must be positive")
-    if not period > 0:
-        raise ValueError("period must be positive")
+def _check_inputs(gamma: float | None, **values) -> None:
+    # every input finite and positive; gamma only when it was given
+    if gamma is not None:
+        values["gamma"] = gamma
+    _require_positive(**values)
 
 
 def _open_exponent(alpha: float, beta: float, period: float) -> float:
@@ -66,7 +63,7 @@ def _open_exponent(alpha: float, beta: float, period: float) -> float:
 def cost_oc(alpha: float, beta: float, i0: float, period: float,
             gamma: float | None = None) -> CostReport:
     """Cost of the open-first cycle: grow to the peak, then decay back to i0."""
-    _check_rates(alpha, beta, i0, period)
+    _check_inputs(gamma, alpha=alpha, beta=beta, i0=i0, period=period)
     x = _open_exponent(alpha, beta, period)
     auc = (1.0 / beta + 1.0 / alpha) * math.expm1(x) * i0
     return CostReport(
@@ -85,7 +82,7 @@ def cost_co(alpha: float, beta: float, i0: float, period: float,
 
     The curve never exceeds its starting value, so i_max = i0 at t = 0.
     """
-    _check_rates(alpha, beta, i0, period)
+    _check_inputs(gamma, alpha=alpha, beta=beta, i0=i0, period=period)
     x = _open_exponent(alpha, beta, period)
     auc = (1.0 / beta + 1.0 / alpha) * (-math.expm1(-x)) * i0
     return CostReport(
@@ -99,11 +96,7 @@ def cost_co(alpha: float, beta: float, i0: float, period: float,
 
 def cost_const(i0: float, period: float, gamma: float | None = None) -> CostReport:
     """Cost of holding the active count flat at i0 for the whole period."""
-    _require_finite(i0=i0, period=period)
-    if not i0 > 0:
-        raise ValueError("i0 must be positive")
-    if not period > 0:
-        raise ValueError("period must be positive")
+    _check_inputs(gamma, i0=i0, period=period)
     auc = i0 * period
     return CostReport(
         strategy_tag="CONST",
@@ -201,8 +194,7 @@ def new_cases_over_window(traj, gamma: float, periodic: bool = False) -> float:
     When the window is one balanced period (I(T) = I(0)) this collapses to
     gamma * AUC, which the periodic flag requests directly.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    _require_positive(gamma=gamma)
     auc = auc_numeric(traj)
     if periodic:
         return gamma * auc

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +22,15 @@ __all__ = [
     "DailySeries",
     "IngestReport",
     "parse_jhu_timeseries",
+    "load_country",
     "ingest_report",
     "difference",
+    "overlap",
     "active_cases",
     "window",
     "moving_average",
     "series_to_rows",
+    "long_records",
     "write_long_csv",
     "read_long_csv",
     "write_long_json",
@@ -193,6 +198,13 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
     return DailySeries(dates[0], total, kind)
 
 
+def load_country(data_dir, country: str, kinds=CUMULATIVE_KINDS) -> list:
+    """One country's cumulative series, one per kind, from a snapshot directory
+    holding the CSSE files under their JHU_FILENAMES."""
+    return [parse_jhu_timeseries(os.path.join(data_dir, JHU_FILENAMES[kind]), country, kind)
+            for kind in kinds]
+
+
 def ingest_report(series: DailySeries) -> IngestReport:
     """List source anomalies without changing the data."""
     out = []
@@ -220,6 +232,15 @@ def difference(series: DailySeries) -> DailySeries:
                        np.diff(series.values), _DAILY_KIND_FOR[series.kind])
 
 
+def overlap(*series_list):
+    """(start date, [values of each series]) on the dates common to all."""
+    start = max(s.start_date for s in series_list)
+    days = (min(s.end_date for s in series_list) - start).days + 1
+    if days < 1:
+        raise ValueError("series have no common date range: their dates do not overlap")
+    return start, [s.values[(start - s.start_date).days:][:days] for s in series_list]
+
+
 def active_cases(confirmed: DailySeries, deaths: DailySeries,
                  recovered: DailySeries) -> DailySeries:
     """confirmed - deaths - recovered on the date range common to all three."""
@@ -229,16 +250,8 @@ def active_cases(confirmed: DailySeries, deaths: DailySeries,
             raise ValueError("expected a %s series, got %s" % (k, s.kind))
         if len(s) == 0:
             raise ValueError("empty %s series" % k)
-    start = max(confirmed.start_date, deaths.start_date, recovered.start_date)
-    end = min(confirmed.end_date, deaths.end_date, recovered.end_date)
-    if end < start:
-        raise ValueError("series have no common date range")
-
-    def cut(s):
-        i = (start - s.start_date).days
-        return s.values[i:i + (end - start).days + 1]
-
-    return DailySeries(start, cut(confirmed) - cut(deaths) - cut(recovered), "active_cases")
+    start, (c, d, r) = overlap(confirmed, deaths, recovered)
+    return DailySeries(start, c - d - r, "active_cases")
 
 
 def window(series: DailySeries, start: dt.date, end: dt.date) -> DailySeries:
@@ -292,39 +305,36 @@ def series_to_rows(series_list):
     return rows
 
 
-def _open_out(dest):
+def _write_text(dest, text) -> None:
+    # dest is a path or an open text file
     if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", newline="", encoding="utf-8"), True
+        dest.write(text)
+        return
+    with open(dest, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_long_csv(series_list, dest) -> None:
-    fh, owned = _open_out(dest)
-    try:
-        fh.write("date,kind,value\n")
-        for day, kind, v in series_to_rows(series_list):
-            fh.write("%s,%s,%r\n" % (day.isoformat(), kind, v))
-    finally:
-        if owned:
-            fh.close()
+    _write_text(dest, "date,kind,value\n" + "".join(
+        "%s,%s,%r\n" % (day.isoformat(), kind, v) for day, kind, v in series_to_rows(series_list)))
+
+
+def long_records(series_list):
+    """The long format as a list of {date, kind, value} records."""
+    return [{"date": day.isoformat(), "kind": kind, "value": v}
+            for day, kind, v in series_to_rows(series_list)]
 
 
 def write_long_json(series_list, dest) -> None:
-    payload = [{"date": day.isoformat(), "kind": kind, "value": v}
-               for day, kind, v in series_to_rows(series_list)]
     # serialise first, so a non-finite value fails before dest is touched
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    fh, owned = _open_out(dest)
-    try:
-        fh.write(text)
-    finally:
-        if owned:
-            fh.close()
+    _write_text(dest, json.dumps(long_records(series_list), indent=2, allow_nan=False) + "\n")
 
 
-def _series_from_rows(rows):
+def _series_from_rows(rows, path):
     by_kind = {}
     for day, kind, value in rows:
+        if not math.isfinite(value):
+            raise ValueError("%s: %s has the non-finite value %r on %s" % (path, kind, value, day))
         by_kind.setdefault(kind, []).append((day, value))
     out = {}
     for kind, pairs in by_kind.items():
@@ -346,7 +356,7 @@ def read_long_csv(path):
         if header != ["date", "kind", "value"]:
             raise ValueError("%s: expected header date,kind,value" % path)
         rows = [(dt.date.fromisoformat(r[0]), r[1], float(r[2])) for r in reader]
-    return _series_from_rows(rows)
+    return _series_from_rows(rows, path)
 
 
 def read_long_json(path):
@@ -355,4 +365,4 @@ def read_long_json(path):
         payload = json.load(fh)
     rows = [(dt.date.fromisoformat(item["date"]), item["kind"], float(item["value"]))
             for item in payload]
-    return _series_from_rows(rows)
+    return _series_from_rows(rows, path)

@@ -1,0 +1,169 @@
+"""Two-cycle validation against a case-data snapshot.
+
+Israel ran two back-to-back 54-day cycles in late 2020, open-first then
+close-first.  validate() reads each cycle's case total off the cumulative
+confirmed curve at the cycle boundaries, turns the totals into death
+estimates with one case fatality rate (fitted to the snapshot, or given),
+and checks them, the active-case anchors and the model's peak-over-baseline
+ratio against the documented figures.  verify_checksums() confirms that a
+snapshot directory still matches its MANIFEST.json.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+import hashlib
+import json
+import math
+import os
+from dataclasses import dataclass
+
+from . import cfr as cfr_fit
+from . import series as ser
+
+__all__ = ["OC_START", "CYCLE_SPLIT", "PERIOD_END", "ANCHORS", "FIT_FROM", "FIT_TO",
+           "TOLERANCES", "ValidationReport", "default_data_dir", "verify_checksums",
+           "check_cfr", "validate"]
+
+# The two cycles as boundary dates: open-first [OC_START, CYCLE_SPLIT),
+# close-first [CYCLE_SPLIT, PERIOD_END).
+OC_START = dt.date(2020, 8, 30)
+CYCLE_SPLIT = dt.date(2020, 10, 23)
+PERIOD_END = dt.date(2020, 12, 16)
+
+# (date, active cases) the snapshot must reproduce exactly
+ANCHORS = (
+    (dt.date(2020, 8, 30), 20876.0),
+    (dt.date(2020, 10, 3), 71114.0),
+    (dt.date(2020, 11, 16), 8697.0),
+    (dt.date(2020, 12, 16), 20791.0),
+)
+
+# window the case fatality rate is fitted on
+FIT_FROM = dt.date(2020, 6, 1)
+FIT_TO = dt.date(2020, 12, 29)
+
+# (name, center, tolerance, kind); rel = fraction of center, abs = plain band
+TOLERANCES = (
+    ("oc_cases", 190000.0, 0.03, "rel"),
+    ("co_cases", 52000.0, 0.03, "rel"),
+    ("oc_deaths_est", 1600.0, 0.05, "rel"),
+    ("co_deaths_est", 440.0, 0.05, "rel"),
+    ("death_ratio", 3.7, 0.2, "abs"),
+    ("predicted_ratio_from_model", 3.6, 0.2, "abs"),
+)
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Outcome of the two-cycle validation on a snapshot.
+
+    Windows are half-open [start, end) boundary pairs; case totals are the
+    cumulative confirmed differences across those boundaries.  The death
+    estimates and their ratio are derived from the case totals and the case
+    fatality rate.
+    """
+
+    oc_window: tuple
+    co_window: tuple
+    oc_cases: float
+    co_cases: float
+    cfr_used: float
+    predicted_ratio_from_model: float
+
+    @property
+    def oc_deaths_est(self) -> float:
+        return self.oc_cases * self.cfr_used
+
+    @property
+    def co_deaths_est(self) -> float:
+        return self.co_cases * self.cfr_used
+
+    @property
+    def death_ratio(self) -> float:
+        return self.oc_cases / self.co_cases
+
+
+def default_data_dir() -> str:
+    """The snapshot bundled with the package."""
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def verify_checksums(data_dir):
+    """Compare every file listed in MANIFEST.json against its sha256.
+
+    Returns a list of problem strings; empty means the snapshot is intact.
+    """
+    manifest_path = os.path.join(data_dir, "MANIFEST.json")
+    if not os.path.exists(manifest_path):
+        return ["missing MANIFEST.json in %s" % data_dir]
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (json.JSONDecodeError, OSError) as exc:
+        return ["unreadable MANIFEST.json: %s" % exc]
+    problems = []
+    for name in sorted(manifest.get("files", {})):
+        expected = manifest["files"][name]["sha256"]
+        path = os.path.join(data_dir, name)
+        if not os.path.exists(path):
+            problems.append("missing data file %s" % name)
+            continue
+        with open(path, "rb") as fh:
+            got = hashlib.sha256(fh.read()).hexdigest()
+        if got != expected:
+            problems.append("checksum mismatch for %s: manifest has %s, file hashes to %s"
+                            % (name, expected, got))
+    return problems
+
+
+def check_cfr(cfr, name="cfr") -> None:
+    """Raise ValueError, calling the value name, unless cfr is a fraction in [0, 1]."""
+    if not (math.isfinite(cfr) and 0.0 <= cfr <= 1.0):
+        raise ValueError("%s must be a finite fraction in [0, 1], got %r" % (name, cfr))
+
+
+def validate(data_dir, cfr=None):
+    """Run the two-cycle validation on the Israel rows of a snapshot.
+
+    cfr, when given, replaces the case fatality rate fitted over
+    FIT_FROM..FIT_TO; it must pass check_cfr, which runs before any file is
+    read.  The snapshot's checksums are not verified here; call
+    verify_checksums first.
+
+    Returns (report, checks).  Each check is a dict with name, value, low,
+    high and ok: first the exact active-case ANCHORS, then the TOLERANCES
+    bands on the report's fields.
+    """
+    if cfr is not None:
+        check_cfr(cfr)
+    confirmed, deaths, recovered = ser.load_country(data_dir, "Israel")
+    active = ser.active_cases(confirmed, deaths, recovered)
+    oc_cases = confirmed.value_on(CYCLE_SPLIT) - confirmed.value_on(OC_START)
+    co_cases = confirmed.value_on(PERIOD_END) - confirmed.value_on(CYCLE_SPLIT)
+    if cfr is None:
+        new_cases = ser.window(ser.difference(confirmed), FIT_FROM, FIT_TO)
+        daily_deaths = ser.window(ser.difference(deaths), FIT_FROM, FIT_TO)
+        cfr = cfr_fit.fit(new_cases, daily_deaths, k_range=(0, 15), smooth_window=7).cfr
+    two_cycles = ser.window(active, OC_START, PERIOD_END)
+    report = ValidationReport(
+        oc_window=(OC_START, CYCLE_SPLIT),
+        co_window=(CYCLE_SPLIT, PERIOD_END),
+        oc_cases=oc_cases,
+        co_cases=co_cases,
+        # plain floats so downstream arithmetic and json stay numpy-free
+        cfr_used=float(cfr),
+        predicted_ratio_from_model=float(two_cycles.values.max()) / two_cycles.value_on(OC_START),
+    )
+
+    checks = []
+    for day, expected in ANCHORS:
+        got = active.value_on(day)
+        checks.append({"name": "active_%s" % day.isoformat(), "value": got,
+                       "low": expected, "high": expected, "ok": got == expected})
+    for name, center, tol, kind in TOLERANCES:
+        width = center * tol if kind == "rel" else tol
+        got = getattr(report, name)
+        checks.append({"name": name, "value": got, "low": center - width,
+                       "high": center + width, "ok": center - width <= got <= center + width})
+    return report, checks

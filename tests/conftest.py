@@ -1,7 +1,7 @@
 import pytest
 
 from lockcycle import StrategyParams
-from lockcycle.cli import default_data_dir
+from lockcycle.validation import default_data_dir
 
 
 @pytest.fixture

@@ -21,8 +21,8 @@ import lockcycle.core as core
 import lockcycle.costs as costs
 import lockcycle.series as ser
 import oracles
-from lockcycle.cli import FIT_FROM, FIT_TO, default_data_dir
 from lockcycle.cli import main as cli_main
+from lockcycle.validation import FIT_FROM, FIT_TO, default_data_dir
 from lockcycle.series import JHU_FILENAMES
 
 

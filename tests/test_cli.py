@@ -1,5 +1,6 @@
 """Command line behavior: payloads, output routing, config handling, exit codes."""
 
+import csv
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import lockcycle.series as ser
 from lockcycle import ValidationReport, parse_jhu_timeseries, read_long_csv, read_long_json
-from lockcycle.cli import _json_writer, main
+from lockcycle.cli import _render, main
 
 
 def run(capsys, *argv):
@@ -219,19 +220,123 @@ class TestValidate:
 
     def test_report_enforces_exact_arithmetic(self):
         import datetime as dt
-        windows = dict(oc_window=(dt.date(2020, 8, 30), dt.date(2020, 10, 23)),
-                       co_window=(dt.date(2020, 10, 23), dt.date(2020, 12, 16)))
-        ValidationReport(oc_cases=100.0, co_cases=50.0, cfr_used=0.01,
-                         oc_deaths_est=1.0, co_deaths_est=0.5, death_ratio=2.0,
-                         predicted_ratio_from_model=3.5, **windows)
-        with pytest.raises(ValueError, match="oc_deaths_est"):
-            ValidationReport(oc_cases=100.0, co_cases=50.0, cfr_used=0.01,
-                             oc_deaths_est=1.5, co_deaths_est=0.5, death_ratio=2.0,
-                             predicted_ratio_from_model=3.5, **windows)
-        with pytest.raises(ValueError, match="death_ratio"):
-            ValidationReport(oc_cases=100.0, co_cases=50.0, cfr_used=0.01,
-                             oc_deaths_est=1.0, co_deaths_est=0.5, death_ratio=2.5,
-                             predicted_ratio_from_model=3.5, **windows)
+        report = ValidationReport(oc_window=(dt.date(2020, 8, 30), dt.date(2020, 10, 23)),
+                                  co_window=(dt.date(2020, 10, 23), dt.date(2020, 12, 16)),
+                                  oc_cases=188351.0, co_cases=51637.0, cfr_used=0.0085,
+                                  predicted_ratio_from_model=3.5)
+        assert report.oc_deaths_est == 188351.0 * 0.0085
+        assert report.co_deaths_est == 51637.0 * 0.0085
+        assert report.death_ratio == 188351.0 / 51637.0
+        # derived figures are not constructor fields, so they cannot disagree
+        with pytest.raises(TypeError):
+            ValidationReport(oc_window=report.oc_window, co_window=report.co_window,
+                             oc_cases=1.0, co_cases=1.0, cfr_used=0.01,
+                             predicted_ratio_from_model=3.5, death_ratio=1.0)
+
+
+class TestPinnedOutput:
+    """Complete human summaries and key-value CSV field lists on defaults."""
+
+    SUMMARIES = {
+        "schedule": """\
+balanced two-phase schedule
+  period      54 days
+  open        31 days at R_t 1.57 (growth 0.041 /day)
+  close       23 days at R_t 0.226 (decay 0.0553 /day)
+  gamma       0.0714 /day
+  average R_t over the cycle: 1
+""",
+        "simulate": """\
+active-case trajectory, oc order, 54 days
+  samples     55 (step 1 days)
+  start       2.1e+04
+  peak        7.49e+04 at day 31
+  end         2.1e+04
+  phase edge  day 31       active 7.49e+04
+  phase edge  day 54       active 2.1e+04
+""",
+        "compare-costs": """\
+cycle-order cost comparison (alpha 0.041, beta 0.0553 /day, I0 2.1e+04, 54 days)
+  open-close cost   2.29e+06 person-days
+  close-open cost   6.42e+05 person-days
+  constant cost     1.13e+06 person-days
+  OC / CO ratio     3.57
+  peak factor       3.57 (peak 7.49e+04 from 2.1e+04)
+""",
+        "fit-cfr": """\
+fatality kernel fit for Israel, 2020-06-01..2020-12-29
+  smoothing    7-day trailing mean
+  delay range  0..15 days
+  delay k      3 days
+  decay a      0.939
+  scale b      0.0005
+  CFR          0.00825
+  sse          1.29e+03
+  cv(a)        0.244%
+  cv(b)        3.53%
+""",
+        "ingest": """\
+ingested Israel from {data_dir}
+  confirmed_cumulative   345 days, 2020-01-22..2020-12-31
+  deaths_cumulative      345 days, 2020-01-22..2020-12-31
+  recovered_cumulative   345 days, 2020-01-22..2020-12-31
+  new_cases              344 days, 2020-01-23..2020-12-31
+  daily_deaths           344 days, 2020-01-23..2020-12-31
+  active_cases           345 days, 2020-01-22..2020-12-31
+  note: confirmed_cumulative has 1 negative daily change(s): 2020-05-04 (-25)
+  note: recovered_cumulative has 1 negative daily change(s): 2020-07-10 (-120)
+  note: new_cases has 1 negative value(s): 2020-05-04 (-25)
+""",
+        "validate": """\
+two-cycle validation on {data_dir}
+  open-first window   2020-08-30..2020-10-23  1.88e+05 cases
+  close-first window  2020-10-23..2020-12-16  5.16e+04 cases
+  CFR used            0.00825 (fitted)
+  estimated deaths    1.55e+03 vs 426
+  death ratio         3.65
+  predicted ratio     3.41 (peak over baseline active)
+  ok   active_2020-08-30            2.09e+04 in [2.09e+04, 2.09e+04]
+  ok   active_2020-10-03            7.11e+04 in [7.11e+04, 7.11e+04]
+  ok   active_2020-11-16            8.7e+03 in [8.7e+03, 8.7e+03]
+  ok   active_2020-12-16            2.08e+04 in [2.08e+04, 2.08e+04]
+  ok   oc_cases                     1.88e+05 in [1.84e+05, 1.96e+05]
+  ok   co_cases                     5.16e+04 in [5.04e+04, 5.36e+04]
+  ok   oc_deaths_est                1.55e+03 in [1.52e+03, 1.68e+03]
+  ok   co_deaths_est                426 in [418, 462]
+  ok   death_ratio                  3.65 in [3.5, 3.9]
+  ok   predicted_ratio_from_model   3.41 in [3.4, 3.8]
+""",
+    }
+
+    FIELDS = {
+        "schedule": "order gamma r_open r_close alpha beta i0 period t_open t_close "
+                    "average_rt",
+        "compare-costs": "alpha beta gamma i0 period cost_oc cost_co cost_const "
+                         "ratio_oc_over_co i_max peak_factor",
+        "fit-cfr": "country date_from date_to k_min k_max smooth_window delay_k "
+                   "decay_a scale_b cfr sse cv_a_percent cv_b_percent",
+        "validate": "oc_window co_window oc_cases co_cases cfr_used cfr_source "
+                    "oc_deaths_est co_deaths_est death_ratio predicted_ratio_from_model "
+                    + " ".join("check:" + name for name in (
+                        "active_2020-08-30", "active_2020-10-03", "active_2020-11-16",
+                        "active_2020-12-16", "oc_cases", "co_cases", "oc_deaths_est",
+                        "co_deaths_est", "death_ratio", "predicted_ratio_from_model")),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SUMMARIES))
+    def test_human_summary(self, capsys, data_dir, command):
+        rc, out, err = run(capsys, command)
+        assert (rc, err) == (0, "")
+        assert out == self.SUMMARIES[command].format(data_dir=data_dir)
+
+    @pytest.mark.parametrize("command", sorted(FIELDS))
+    def test_key_value_csv_fields(self, capsys, command):
+        rc, out, err = run(capsys, command, "--format", "csv")
+        assert (rc, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["field", "value"]
+        assert [row[0] for row in rows[1:]] == self.FIELDS[command].split()
+        assert all(len(row) == 2 for row in rows)
 
 
 class TestOutputRouting:
@@ -350,6 +455,8 @@ class TestBadArguments:
         (("validate", "--cfr", "2"), "--cfr"),
         (("validate", "--cfr", "inf"), "--cfr"),
         (("validate", "--cfr", "nan"), "--cfr"),
+        (("simulate", "--step", "inf"), "sample_step"),
+        (("simulate", "--step", "nan"), "sample_step"),
     ])
     def test_non_finite_or_out_of_range_input_exits_two(self, capsys, argv, field):
         rc, out, err = run(capsys, *argv, "--format", "json")
@@ -374,11 +481,25 @@ class TestBadArguments:
         assert str(target) in err
         assert "line %d has the non-finite value 'nan' on 2020-11-17" % lineno in err
 
-    def test_json_writer_rejects_nan_before_writing(self):
-        buf = io.StringIO()
+    def test_step_past_the_sample_cap_exits_two(self, capsys):
+        # 1e-9 days over a 54-day cycle is 5.4e10 samples, refused before allocating
+        rc, out, err = run(capsys, "simulate", "--step", "1e-9", "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: sample_step=1e-09 would take 5.4e+10 samples")
+
+    def test_json_writer_rejects_nan_before_writing(self, capsys, tmp_path):
+        payload = {"ok": 1.0, "bad": float("nan")}
+        options = {"format": "json"}
         with pytest.raises(ValueError):
-            _json_writer({"ok": 1.0, "bad": float("nan")})(buf)
-        assert buf.getvalue() == ""
+            _render(options.get, ["summary"], payload, None)
+        assert capsys.readouterr().out == ""
+        out_path = tmp_path / "doc.json"
+        options["out"] = str(out_path)
+        with pytest.raises(ValueError):
+            _render(options.get, ["summary"], payload, None)
+        assert not out_path.exists()
+        assert capsys.readouterr().out == ""
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

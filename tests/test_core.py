@@ -7,6 +7,7 @@ from lockcycle import (
     CO,
     CUSTOM,
     DEFAULT_GAMMA,
+    MAX_SAMPLES,
     OC,
     Phase,
     PhaseSchedule,
@@ -89,6 +90,22 @@ def test_decay_faster_than_removal_is_rejected():
         StrategyParams.from_growth_rates(0.1, 0.2, 100.0, 10.0, gamma=0.15)
     p = StrategyParams.from_growth_rates(0.1, 0.15, 100.0, 10.0, gamma=0.15)
     assert p.r_close == 0.0
+
+
+@pytest.mark.parametrize("build, kwargs, field", [
+    (StrategyParams.from_growth_rates, dict(alpha=0.0, beta=0.05), "alpha"),
+    (StrategyParams.from_growth_rates, dict(alpha=0.1, beta=-0.05), "beta"),
+    (StrategyParams.from_growth_rates, dict(alpha=0.1, beta=0.05, gamma=0.0), "gamma"),
+    (StrategyParams.from_reproduction_numbers, dict(gamma=0.1, r_open=1.0, r_close=0.5),
+     "r_open"),
+    (StrategyParams.from_reproduction_numbers, dict(gamma=0.1, r_open=2.0, r_close=1.0),
+     "r_close"),
+    (StrategyParams.from_reproduction_numbers, dict(gamma=0.1, r_open=2.0, r_close=-0.1),
+     "gamma"),
+])
+def test_range_errors_name_a_field_the_caller_passed(build, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        build(i0=100.0, period=10.0, **kwargs)
 
 
 def test_params_are_frozen(baseline):
@@ -261,6 +278,30 @@ def test_trajectory_rejects_bad_inputs(baseline):
         solve_trajectory(100.0, sched, 0.0)
     with pytest.raises(ValueError):
         solve_trajectory(100.0, sched, baseline.gamma, sample_step=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="sample_step must be a finite number"):
+            solve_trajectory(100.0, sched, baseline.gamma, sample_step=bad)
+
+
+def test_sample_count_is_capped_before_allocating(baseline):
+    # only steps the cap rejects are tried: an uncapped run would allocate
+    # tens of gigabytes
+    assert MAX_SAMPLES == 1_000_000
+    sched = PhaseSchedule.open_close(baseline)
+    with pytest.raises(ValueError, match="sample_step=1e-09 would take 5.4e\\+10 samples"):
+        solve_trajectory(baseline.i0, sched, baseline.gamma, sample_step=1e-9)
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        solve_trajectory(baseline.i0, sched, baseline.gamma, sample_step=5e-324)
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        solve_trajectory(1.0, PhaseSchedule(((1.0, math.inf),)), 0.1)
+
+
+def test_phase_boundaries_are_the_segment_edges(baseline):
+    traj = solve_trajectory(baseline.i0, PhaseSchedule.open_close(baseline), baseline.gamma)
+    first, second = traj.segments
+    assert traj.phase_boundaries == ((0.0, baseline.i0),
+                                     (first.end_time, first.end_value),
+                                     (second.end_time, second.end_value))
 
 
 def test_trajectory_arrays_are_frozen(baseline):

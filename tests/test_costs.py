@@ -84,6 +84,22 @@ def test_preconditions():
         cost_const(0.0, 10.0)
 
 
+@pytest.mark.parametrize("gamma, message", [
+    (math.inf, "gamma must be a finite number"),
+    (math.nan, "gamma must be a finite number"),
+    (0.0, "gamma must be positive"),
+    (-0.1, "gamma must be positive"),
+])
+def test_bad_gamma_is_rejected(gamma, message):
+    for cost in (cost_oc, cost_co):
+        with pytest.raises(ValueError, match=message):
+            cost(0.04, 0.05, 100.0, 10.0, gamma=gamma)
+    with pytest.raises(ValueError, match=message):
+        cost_const(100.0, 10.0, gamma=gamma)
+    with pytest.raises(ValueError, match=message):
+        new_cases_over_window(([0.0, 1.0], [1.0, 1.0]), gamma)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_inputs_are_rejected(bad):
     for position, name in enumerate(("alpha", "beta", "i0", "period")):

@@ -63,22 +63,31 @@ def test_cli_import_registers_every_layer():
 
 def test_exports_are_their_submodules_objects():
     code = ("import lockcycle\n"
-            "from lockcycle import cfr, cli, core, costs, series\n"
+            "from lockcycle import cfr, cli, core, costs, series, validation\n"
             "origin = {'fit_cfr': (cfr, 'fit')}\n"
-            "for mod in (core, costs, cfr, series, cli):\n"
+            "for mod in (core, costs, cfr, series, validation, cli):\n"
             "    for name in dir(mod):\n"
             "        origin.setdefault(name, (mod, name))\n"
             "for name in lockcycle.__all__:\n"
             "    mod, attr = origin[name]\n"
             "    assert getattr(lockcycle, name) is getattr(mod, attr), name\n"
             "assert set(lockcycle.__all__) <= set(dir(lockcycle))\n"
-            "assert {'cfr', 'cli', 'core', 'costs', 'series'} <= set(dir(lockcycle))\n"
+            "submodules = {'cfr', 'cli', 'core', 'costs', 'series', 'validation'}\n"
+            "assert submodules <= set(dir(lockcycle))\n"
             "try:\n"
             "    lockcycle.no_such_name\n"
             "except AttributeError as exc:\n"
             "    print(exc)")
     out = python("-c", code)[0]
     assert out.strip() == "module 'lockcycle' has no attribute 'no_such_name'"
+
+
+def test_package_exports_never_load_the_cli():
+    code = ("import sys, lockcycle\n"
+            "for name in lockcycle.__all__:\n"
+            "    getattr(lockcycle, name)\n"
+            "print('lockcycle.cli' in sys.modules)")
+    assert python("-c", code)[0].strip() == "False"
 
 
 @pytest.mark.parametrize("module", ["lockcycle", "lockcycle.cli"])

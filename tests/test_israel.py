@@ -13,12 +13,13 @@ import pytest
 
 import lockcycle.series as ser
 from lockcycle import fit_cfr, parse_jhu_timeseries
-from lockcycle.cli import (
+from lockcycle.validation import (
     CYCLE_SPLIT,
     FIT_FROM,
     FIT_TO,
     OC_START,
     PERIOD_END,
+    validate,
     verify_checksums,
 )
 
@@ -64,6 +65,13 @@ def israel_fit(fit_inputs):
 
 def test_snapshot_checksums_are_clean(data_dir):
     assert verify_checksums(data_dir) == []
+
+
+@pytest.mark.parametrize("cfr", [float("nan"), float("inf"), -1.0, 2.0])
+def test_validate_rejects_a_cfr_outside_the_unit_interval(tmp_path, cfr):
+    # checked before any file is read: tmp_path holds no snapshot
+    with pytest.raises(ValueError, match=r"^cfr must be a finite fraction in \[0, 1\]"):
+        validate(str(tmp_path), cfr)
 
 
 def test_active_case_anchor_points(israel):

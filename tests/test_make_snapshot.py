@@ -1,4 +1,5 @@
-"""The snapshot generator's fit check runs on the public fitting API."""
+"""The snapshot generator: its fit check runs on the public fitting API, and
+it regenerates the bundled snapshot byte for byte."""
 
 import importlib.util
 import os
@@ -30,3 +31,16 @@ def test_check_fit_on_bundled_israel_row(data_dir):
     assert sse[3] == model.sse
     # the generator's own acceptance margin against the neighbouring delays
     assert min(sse[2], sse[4]) / model.sse > 1.002
+
+
+def test_regenerates_the_bundled_snapshot(data_dir, tmp_path, capsys):
+    from lockcycle.validation import verify_checksums
+
+    assert load_tool().main(str(tmp_path)) == 0
+    assert "snapshot ok" in capsys.readouterr().out
+    written = sorted(os.listdir(tmp_path))
+    assert written == ["MANIFEST.json", *sorted(JHU_FILENAMES.values())]
+    for name in written:
+        with open(os.path.join(data_dir, name), "rb") as bundled:
+            assert (tmp_path / name).read_bytes() == bundled.read(), name
+    assert verify_checksums(str(tmp_path)) == []

@@ -365,6 +365,23 @@ class TestLongFormat:
         with pytest.raises(ValueError, match="expected header"):
             read_long_csv(str(path))
 
+    def test_csv_read_back_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("date,kind,value\n"
+                        "2020-05-01,new_cases,1.0\n"
+                        "2020-05-02,new_cases,nan\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_long_csv(str(path))
+        assert str(exc.value) == "%s: new_cases has the non-finite value nan on 2020-05-02" % path
+
+    def test_json_read_back_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('[{"date": "2020-05-01", "kind": "new_cases", "value": NaN}]',
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_long_json(str(path))
+        assert str(exc.value) == "%s: new_cases has the non-finite value nan on 2020-05-01" % path
+
     def test_read_back_rejects_date_gaps(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("date,kind,value\n"

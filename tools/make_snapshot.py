@@ -18,6 +18,7 @@ Other rows (two Australian provinces, "Korea, South") are small synthetic
 filler that exercises province summation and quoted-name parsing.
 
 Run from the repository root:  python tools/make_snapshot.py
+(main(out_dir) writes somewhere else; out_dir defaults to the package data.)
 """
 
 import csv
@@ -284,7 +285,8 @@ def write_csv(path, rows):
             writer.writerow([province, country, lat, lon] + [str(int(v)) for v in values])
 
 
-def main():
+def main(out_dir=DATA_DIR):
+    """Calibrate, check and write the snapshot and its manifest to out_dir."""
     rng_cases = np.random.default_rng(SEED)
     rng_deaths = np.random.default_rng(DEATH_SEED)
     n, confirmed, deaths_cum, recovered, active = build_israel(rng_cases, rng_deaths)
@@ -325,7 +327,7 @@ def main():
             ("", "Korea, South", "35.907757", "127.766922", filler["kor"][which]),
         ]
 
-    os.makedirs(DATA_DIR, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     names = {
         0: "time_series_covid19_confirmed_global.csv",
         1: "time_series_covid19_deaths_global.csv",
@@ -335,12 +337,12 @@ def main():
                 "countries": ["Australia", "Israel", "Korea, South"],
                 "files": {}}
     for which, name in names.items():
-        path = os.path.join(DATA_DIR, name)
+        path = os.path.join(out_dir, name)
         write_csv(path, series_rows(which))
         digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
         manifest["files"][name] = {"sha256": digest, "bytes": os.path.getsize(path)}
         print("wrote %s (%s)" % (name, digest[:12]))
-    with open(os.path.join(DATA_DIR, "MANIFEST.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     print("snapshot ok")
