@@ -30,13 +30,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_TOLERANCE = 3
 
-# Default strategy parameters: the Israeli second-wave working point used
-# throughout the docs (growth 0.041/day open, decay 0.0553/day closed,
-# 21,000 active cases, 54-day cycle).
+# Growth rates (1/day) of the Israeli second-wave working point used
+# throughout the docs.  --alpha/--beta themselves default to None, so that
+# _resolve_params can tell which parameter pair was given.
 DEFAULT_ALPHA = 0.0410
 DEFAULT_BETA = 0.0553
-DEFAULT_I0 = 21000.0
-DEFAULT_PERIOD = 54.0
 
 
 def _s3(x) -> str:
@@ -53,20 +51,26 @@ def _parse_iso(text, flag):
 
 # --- config files ----------------------------------------------------------
 
+def _subcommands(parser):
+    # {name: subparser}
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def load_config(path, parser):
     """Read a key=value file mirroring the long flags of parser's subcommands.
 
     A key is an option's dest or its long flag without the dashes ('from'
     and 'date_from' alike), hyphens and underscores are interchangeable,
-    values convert with the option's type, blank lines and #-comments are
-    ignored, and unknown keys are rejected so typos do not silently vanish.
+    values convert with the option's type and must be among its choices,
+    whichever command runs (a bad value raises ValueError naming the file,
+    line and key), blank lines and #-comments are ignored, and unknown keys
+    are rejected so typos do not silently vanish.
     """
-    keys = {}  # key -> (dest, type)
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for action in (a for sp in commands.choices.values() for a in sp._actions):
+    keys = {}  # key -> action
+    for action in (a for sp in _subcommands(parser).values() for a in sp._actions):
         if action.nargs != 0:  # not a flag without a value, such as --help
             for name in (action.dest, *(o.lstrip("-") for o in action.option_strings)):
-                keys[name.replace("-", "_")] = (action.dest, action.type or str)
+                keys[name.replace("-", "_")] = action
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -79,33 +83,37 @@ def load_config(path, parser):
             key = key.strip().replace("-", "_")
             if key not in keys:
                 raise ValueError("%s:%d: unknown config key %r" % (path, lineno, key))
-            dest, convert = keys[key]
-            out[dest] = convert(value.strip())
+            action = keys[key]
+            try:  # argparse's own conversion and choices check, as for a flag
+                value = parser._get_value(action, value.strip())
+                parser._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                raise ValueError("%s:%d: %s: %s" % (path, lineno, key, exc.message))
+            out[action.dest] = value
     return out
 
 
 # --- shared plumbing --------------------------------------------------------
 
-def _resolve_params(opt) -> core.StrategyParams:
-    """Build strategy parameters from flags, config and defaults.
+def _resolve_params(args) -> core.StrategyParams:
+    """Build strategy parameters from the parsed options.
 
     Either the growth-rate pair or the reproduction-number pair may be given;
     unspecified growth rates fall back to the documented defaults.
     """
-    has_repro = opt("r_open") is not None or opt("r_close") is not None
-    has_rates = opt("alpha") is not None or opt("beta") is not None
+    has_repro = args.r_open is not None or args.r_close is not None
+    has_rates = args.alpha is not None or args.beta is not None
     if has_repro and has_rates:
         raise ValueError("pass either --alpha/--beta or --r-open/--r-close, not both")
-    gamma = opt("gamma", core.DEFAULT_GAMMA)
-    i0 = opt("i0", DEFAULT_I0)
-    period = opt("period", DEFAULT_PERIOD)
     if has_repro:
-        r_open, r_close = opt("r_open"), opt("r_close")
-        if r_open is None or r_close is None:
+        if args.r_open is None or args.r_close is None:
             raise ValueError("--r-open and --r-close go together")
-        return core.StrategyParams.from_reproduction_numbers(gamma, r_open, r_close, i0, period)
+        return core.StrategyParams.from_reproduction_numbers(
+            args.gamma, args.r_open, args.r_close, args.i0, args.period)
     return core.StrategyParams.from_growth_rates(
-        opt("alpha", DEFAULT_ALPHA), opt("beta", DEFAULT_BETA), i0, period, gamma=gamma)
+        DEFAULT_ALPHA if args.alpha is None else args.alpha,
+        DEFAULT_BETA if args.beta is None else args.beta,
+        args.i0, args.period, gamma=args.gamma)
 
 
 def _cell(v):
@@ -125,13 +133,13 @@ def _csv_writer(header, rows):
     return write
 
 
-def _render(opt, human, payload, write_csv) -> None:
-    """Write one command's result in the format the options ask for.
+def _render(args, human, payload, write_csv) -> None:
+    """Write one command's result in the format args.format and args.out ask for.
 
     human is the summary's lines, payload the JSON document and write_csv
     writes the CSV document to a file object.
     """
-    fmt, out = opt("format"), opt("out")
+    fmt, out = args.format, args.out
     if out and fmt is None:
         fmt = "csv" if out.endswith(".csv") else "json"
     if fmt == "json":
@@ -140,8 +148,6 @@ def _render(opt, human, payload, write_csv) -> None:
         write = lambda fh: fh.write(text)
     elif fmt == "csv":
         write = write_csv
-    elif fmt is not None:
-        raise ValueError("this command has no %s output" % fmt)
     if out:
         with open(out, "w", newline="", encoding="utf-8") as fh:
             write(fh)
@@ -153,8 +159,8 @@ def _render(opt, human, payload, write_csv) -> None:
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_schedule(opt) -> int:
-    params = _resolve_params(opt)
+def cmd_schedule(args) -> int:
+    params = _resolve_params(args)
     t_open, t_close = core.phase_lengths(params)
     sched = core.PhaseSchedule.open_close(params)
     payload = {
@@ -182,40 +188,36 @@ def cmd_schedule(opt) -> int:
         "  average R_t over the cycle: %s" % _s3(payload["average_rt"]),
     ]
     fields = [(k, v) for k, v in payload.items() if k != "phases"]
-    _render(opt, human, payload, _csv_writer(("field", "value"), fields))
+    _render(args, human, payload, _csv_writer(("field", "value"), fields))
     return EXIT_OK
 
 
-def cmd_simulate(opt) -> int:
-    params = _resolve_params(opt)
-    order = opt("order", "oc")
-    step = opt("step", 1.0)
+def cmd_simulate(args) -> int:
+    params = _resolve_params(args)
     oc = core.PhaseSchedule.open_close(params)
-    if order == "oc":
+    if args.order == "oc":
         sched = oc
-    elif order == "co":
+    elif args.order == "co":
         sched = core.swap_cycle(oc)
-    elif order == "oc-then-co":
+    else:  # oc-then-co
         sched = core.PhaseSchedule(oc.phases + core.swap_cycle(oc).phases)
-    else:
-        raise ValueError("--order must be oc, co or oc-then-co")
-    traj = core.solve_trajectory(params.i0, sched, params.gamma, sample_step=step)
+    traj = core.solve_trajectory(params.i0, sched, params.gamma, sample_step=args.step)
     peak = int(traj.active.argmax())
     payload = {
-        "order": order,
+        "order": args.order,
         "gamma": params.gamma,
         "alpha": params.alpha,
         "beta": params.beta,
         "i0": params.i0,
         "period": sched.period,
-        "step": step,
+        "step": args.step,
         "phase_boundaries": [{"time": t, "active": v} for t, v in traj.phase_boundaries],
         "times": [float(t) for t in traj.times],
         "active": [float(v) for v in traj.active],
     }
     human = [
-        "active-case trajectory, %s order, %s days" % (order, _s3(sched.period)),
-        "  samples     %d (step %s days)" % (len(traj.times), _s3(step)),
+        "active-case trajectory, %s order, %s days" % (args.order, _s3(sched.period)),
+        "  samples     %d (step %s days)" % (len(traj.times), _s3(args.step)),
         "  start       %s" % _s3(params.i0),
         "  peak        %s at day %s" % (_s3(traj.active[peak]), _s3(traj.times[peak])),
         "  end         %s" % _s3(traj.active[-1]),
@@ -223,12 +225,12 @@ def cmd_simulate(opt) -> int:
     human += ["  phase edge  day %-8s active %s" % (_s3(t), _s3(v))
               for t, v in traj.phase_boundaries[1:]]
     rows = zip(payload["times"], payload["active"])
-    _render(opt, human, payload, _csv_writer(("time", "active"), rows))
+    _render(args, human, payload, _csv_writer(("time", "active"), rows))
     return EXIT_OK
 
 
-def cmd_compare_costs(opt) -> int:
-    params = _resolve_params(opt)
+def cmd_compare_costs(args) -> int:
+    params = _resolve_params(args)
     oc = costs.cost_oc(params.alpha, params.beta, params.i0, params.period, gamma=params.gamma)
     co = costs.cost_co(params.alpha, params.beta, params.i0, params.period, gamma=params.gamma)
     const = costs.cost_const(params.i0, params.period, gamma=params.gamma)
@@ -256,30 +258,25 @@ def cmd_compare_costs(opt) -> int:
         "  peak factor       %s (peak %s from %s)"
         % (_s3(payload["peak_factor"]), _s3(oc.i_max), _s3(params.i0)),
     ]
-    _render(opt, human, payload, _csv_writer(("field", "value"), payload.items()))
+    _render(args, human, payload, _csv_writer(("field", "value"), payload.items()))
     return EXIT_OK
 
 
-def cmd_fit_cfr(opt) -> int:
-    data_dir = opt("data_dir", validation.default_data_dir())
-    country = opt("country", "Israel")
-    date_from = _parse_iso(opt("date_from", validation.FIT_FROM.isoformat()), "--from")
-    date_to = _parse_iso(opt("date_to", validation.FIT_TO.isoformat()), "--to")
-    k_min = opt("k_min", 0)
-    k_max = opt("k_max", 15)
-    smooth = opt("smooth_window", 7)
-    confirmed, deaths = ser.load_country(data_dir, country, ser.CUMULATIVE_KINDS[:2])
+def cmd_fit_cfr(args) -> int:
+    date_from = _parse_iso(args.date_from, "--from")
+    date_to = _parse_iso(args.date_to, "--to")
+    confirmed, deaths = ser.load_country(args.data_dir, args.country, ser.CUMULATIVE_KINDS[:2])
     new_cases = ser.window(ser.difference(confirmed), date_from, date_to)
     daily_deaths = ser.window(ser.difference(deaths), date_from, date_to)
-    model = cfr_fit.fit(new_cases, daily_deaths, k_range=(k_min, k_max),
-                        smooth_window=smooth)
+    model = cfr_fit.fit(new_cases, daily_deaths, k_range=(args.k_min, args.k_max),
+                        smooth_window=args.smooth_window)
     payload = {
-        "country": country,
+        "country": args.country,
         "date_from": date_from.isoformat(),
         "date_to": date_to.isoformat(),
-        "k_min": k_min,
-        "k_max": k_max,
-        "smooth_window": smooth,
+        "k_min": args.k_min,
+        "k_max": args.k_max,
+        "smooth_window": args.smooth_window,
         "delay_k": model.delay_k,
         "decay_a": model.decay_a,
         "scale_b": model.scale_b,
@@ -289,9 +286,9 @@ def cmd_fit_cfr(opt) -> int:
         "cv_b_percent": model.cv_b,
     }
     human = [
-        "fatality kernel fit for %s, %s..%s" % (country, date_from, date_to),
-        "  smoothing    %d-day trailing mean" % smooth,
-        "  delay range  %d..%d days" % (k_min, k_max),
+        "fatality kernel fit for %s, %s..%s" % (args.country, date_from, date_to),
+        "  smoothing    %d-day trailing mean" % args.smooth_window,
+        "  delay range  %d..%d days" % (args.k_min, args.k_max),
         "  delay k      %d days" % model.delay_k,
         "  decay a      %s" % _s3(model.decay_a),
         "  scale b      %s" % _s3(model.scale_b),
@@ -302,14 +299,12 @@ def cmd_fit_cfr(opt) -> int:
         human.append("  cv(a)        %s%%" % _s3(model.cv_a))
     if model.cv_b is not None:
         human.append("  cv(b)        %s%%" % _s3(model.cv_b))
-    _render(opt, human, payload, _csv_writer(("field", "value"), payload.items()))
+    _render(args, human, payload, _csv_writer(("field", "value"), payload.items()))
     return EXIT_OK
 
 
-def cmd_ingest(opt) -> int:
-    data_dir = opt("data_dir", validation.default_data_dir())
-    country = opt("country", "Israel")
-    confirmed, deaths, recovered = ser.load_country(data_dir, country)
+def cmd_ingest(args) -> int:
+    confirmed, deaths, recovered = ser.load_country(args.data_dir, args.country)
     derived = [
         confirmed,
         deaths,
@@ -318,14 +313,12 @@ def cmd_ingest(opt) -> int:
         ser.difference(deaths),
         ser.active_cases(confirmed, deaths, recovered),
     ]
-    date_from = opt("date_from")
-    date_to = opt("date_to")
-    if date_from is not None or date_to is not None:
-        lo = _parse_iso(date_from, "--from") if date_from is not None else None
-        hi = _parse_iso(date_to, "--to") if date_to is not None else None
+    if args.date_from is not None or args.date_to is not None:
+        lo = _parse_iso(args.date_from, "--from") if args.date_from is not None else None
+        hi = _parse_iso(args.date_to, "--to") if args.date_to is not None else None
         derived = [ser.window(s, lo or s.start_date, hi or s.end_date) for s in derived]
 
-    human = ["ingested %s from %s" % (country, data_dir)]
+    human = ["ingested %s from %s" % (args.country, args.data_dir)]
     for s in derived:
         human.append("  %-22s %d days, %s..%s"
                      % (s.kind, len(s), s.start_date, s.end_date))
@@ -338,23 +331,21 @@ def cmd_ingest(opt) -> int:
                          % (s.kind, report.count,
                             "daily change(s)" if s.kind in ser.CUMULATIVE_KINDS
                             else "value(s)", spots))
-    _render(opt, human, ser.long_records(derived), lambda fh: ser.write_long_csv(derived, fh))
+    _render(args, human, ser.long_records(derived), lambda fh: ser.write_long_csv(derived, fh))
     return EXIT_OK
 
 
-def cmd_validate(opt) -> int:
-    data_dir = opt("data_dir", validation.default_data_dir())
-    cfr = opt("cfr")
-    if cfr is not None:
-        validation.check_cfr(cfr, "--cfr")  # before the snapshot is read
-    problems = validation.verify_checksums(data_dir)
+def cmd_validate(args) -> int:
+    if args.cfr is not None:
+        validation.check_cfr(args.cfr, "--cfr")  # before the snapshot is read
+    problems = validation.verify_checksums(args.data_dir)
     if problems:
         for p in problems:
             print("snapshot rejected: %s" % p, file=sys.stderr)
         return EXIT_INPUT
 
-    report, checks = validation.validate(data_dir, cfr)
-    cfr_source = "fitted" if cfr is None else "flag"
+    report, checks = validation.validate(args.data_dir, args.cfr)
+    cfr_source = "fitted" if args.cfr is None else "flag"
     payload = {
         "oc_window": [d.isoformat() for d in report.oc_window],
         "co_window": [d.isoformat() for d in report.co_window],
@@ -369,7 +360,7 @@ def cmd_validate(opt) -> int:
         "checks": checks,
     }
     human = [
-        "two-cycle validation on %s" % data_dir,
+        "two-cycle validation on %s" % args.data_dir,
         "  open-first window   %s..%s  %s cases"
         % (report.oc_window[0], report.oc_window[1], _s3(report.oc_cases)),
         "  close-first window  %s..%s  %s cases"
@@ -386,7 +377,7 @@ def cmd_validate(opt) -> int:
     fields = [(k, "%s..%s" % tuple(v) if isinstance(v, list) else v)
               for k, v in payload.items() if k != "checks"]
     fields += [("check:%s" % c["name"], "PASS" if c["ok"] else "FAIL") for c in checks]
-    _render(opt, human, payload, _csv_writer(("field", "value"), fields))
+    _render(args, human, payload, _csv_writer(("field", "value"), fields))
     return EXIT_OK if all(c["ok"] for c in checks) else EXIT_TOLERANCE
 
 
@@ -404,13 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_strategy(sp):
         sp.add_argument("--alpha", type=float, help="open-phase net growth rate (1/day)")
         sp.add_argument("--beta", type=float, help="close-phase net decay rate (1/day)")
-        sp.add_argument("--gamma", type=float, help="removal rate (1/day), default 1/14")
+        sp.add_argument("--gamma", type=float, default=core.DEFAULT_GAMMA,
+                        help="removal rate (1/day), default 1/14")
         sp.add_argument("--r-open", dest="r_open", type=float,
                         help="open-phase reproduction number (alternative to --alpha)")
         sp.add_argument("--r-close", dest="r_close", type=float,
                         help="close-phase reproduction number (alternative to --beta)")
-        sp.add_argument("--i0", type=float, help="initial active cases, default 21000")
-        sp.add_argument("--period", type=float, help="cycle length in days, default 54")
+        sp.add_argument("--i0", type=float, default=21000.0,
+                        help="initial active cases, default 21000")
+        sp.add_argument("--period", type=float, default=54.0,
+                        help="cycle length in days, default 54")
 
     def add_output(sp):
         sp.add_argument("--format", choices=("csv", "json"),
@@ -418,10 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="structured output path (format inferred "
                                       "from the extension when --format is absent)")
 
-    def add_data(sp):
-        sp.add_argument("--data-dir", dest="data_dir",
+    def add_data_dir(sp):
+        sp.add_argument("--data-dir", dest="data_dir", default=validation.default_data_dir(),
                         help="snapshot directory, default: bundled data")
-        sp.add_argument("--country", help="Country/Region name, default Israel")
+
+    def add_data(sp):
+        add_data_dir(sp)
+        sp.add_argument("--country", default="Israel", help="Country/Region name, default Israel")
         sp.add_argument("--from", dest="date_from", help="window start, YYYY-MM-DD")
         sp.add_argument("--to", dest="date_to", help="window end, YYYY-MM-DD")
 
@@ -431,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="daily active-case trajectory for a cycle")
     add_strategy(sp); add_output(sp)
-    sp.add_argument("--order", choices=("oc", "co", "oc-then-co"),
+    sp.add_argument("--order", choices=("oc", "co", "oc-then-co"), default="oc",
                     help="phase order, default oc")
-    sp.add_argument("--step", type=float, help="sampling step in days, default 1")
+    sp.add_argument("--step", type=float, default=1.0, help="sampling step in days, default 1")
     sp.set_defaults(handler=cmd_simulate)
 
     sp = sub.add_parser("compare-costs", help="person-day costs of the two orders")
@@ -442,19 +439,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit-cfr", help="fit the geometric fatality kernel to a country")
     add_data(sp); add_output(sp)
-    sp.add_argument("--k-min", dest="k_min", type=int, help="smallest delay searched, default 0")
-    sp.add_argument("--k-max", dest="k_max", type=int, help="largest delay searched, default 15")
-    sp.add_argument("--smooth-window", dest="smooth_window", type=int,
+    sp.add_argument("--k-min", dest="k_min", type=int, default=0,
+                    help="smallest delay searched, default 0")
+    sp.add_argument("--k-max", dest="k_max", type=int, default=15,
+                    help="largest delay searched, default 15")
+    sp.add_argument("--smooth-window", dest="smooth_window", type=int, default=7,
                     help="trailing-mean width in days (1 disables), default 7")
-    sp.set_defaults(handler=cmd_fit_cfr)
+    sp.set_defaults(handler=cmd_fit_cfr, date_from=validation.FIT_FROM.isoformat(),
+                    date_to=validation.FIT_TO.isoformat())
 
     sp = sub.add_parser("ingest", help="derive and export long-format series from a snapshot")
     add_data(sp); add_output(sp)
     sp.set_defaults(handler=cmd_ingest)
 
     sp = sub.add_parser("validate", help="check the snapshot against the published figures")
-    sp.add_argument("--data-dir", dest="data_dir",
-                    help="snapshot directory, default: bundled data")
+    add_data_dir(sp)
     sp.add_argument("--cfr", type=float,
                     help="use this case fatality rate instead of fitting one")
     add_output(sp)
@@ -466,22 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config:
+        # config values become the subcommand's defaults, so flags still win
+        try:
+            config = load_config(args.config, parser)
+        except (OSError, ValueError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_INPUT
+        _subcommands(parser)[args.command].set_defaults(**config)
+        args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, parser) if args.config else {}
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-
-    def opt(name, default=None):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        if name in config:
-            return config[name]
-        return default
-
-    try:
-        return args.handler(opt)
+        return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

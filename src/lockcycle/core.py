@@ -63,6 +63,14 @@ def _require_positive(**values) -> None:
             raise ValueError("%s must be positive" % name)
 
 
+def _require_in_range(what: str, results, **inputs) -> None:
+    # The closed forms map positive finite inputs to positive finite results,
+    # so any other result means an exponential left the float range.
+    if not all(0.0 < v < math.inf for v in results):
+        raise ValueError("%s leaves the float range at %s"
+                         % (what, ", ".join("%s=%r" % item for item in inputs.items())))
+
+
 @dataclass(frozen=True)
 class StrategyParams:
     """Parameters of a two-phase periodic control strategy.
@@ -204,7 +212,10 @@ class Segment:
 
     @property
     def end_value(self) -> float:
-        return self.start_value * math.exp(self.rate * self.duration)
+        try:
+            return self.start_value * math.exp(self.rate * self.duration)
+        except OverflowError:  # past the float range, which solve_trajectory rejects
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -265,7 +276,9 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     Within phase j the curve is I(t) = I_j * exp(gamma*(rt_j - 1)*(t - t_j)),
     with phase-start values chained exactly from i0.  Samples are taken every
     sample_step days starting at 0, and the cycle end is always included.
-    A sample_step that would take more than MAX_SAMPLES samples is rejected.
+    A sample_step that would take more than MAX_SAMPLES samples is rejected,
+    and so is a curve that leaves the float range (overflows to inf or
+    underflows to 0), naming i0, gamma and the schedule's period.
     """
     _require_positive(i0=i0, gamma=gamma, sample_step=sample_step)
     import numpy as np
@@ -283,6 +296,9 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
         raise ValueError("sample_step=%g would take %.3g samples over %g days, more than "
                          "MAX_SAMPLES=%d" % (sample_step, n_steps + 1, total, MAX_SAMPLES))
     n_steps = int(n_steps)
+    # each arc is monotone, so its end values bound every sample on it
+    _require_in_range("the active-case curve", [s.end_value for s in segments],
+                      i0=i0, gamma=gamma, period=total)
     times = np.arange(n_steps + 1, dtype=float) * sample_step
     if total - times[-1] > 1e-9 * max(1.0, total):
         times = np.append(times, total)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Trajectory, _require_positive
+from .core import Trajectory, _require_in_range, _require_positive
 
 __all__ = [
     "CostReport",
@@ -35,6 +35,8 @@ class CostReport:
     only filled in when gamma was supplied (it presumes a balanced cycle).
     cost_ratio_vs_co is only set on open-first reports.  The generating
     parameters are kept so ratio checks can reject mismatched comparisons.
+    A report whose figures leave the float range is rejected with a
+    ValueError naming the parameters that produced it.
     """
 
     strategy_tag: str
@@ -46,6 +48,13 @@ class CostReport:
     period: float
     total_new_cases: float | None = None
     cost_ratio_vs_co: float | None = None
+
+    def __post_init__(self):
+        results = (self.auc_active, self.i_max, self.total_new_cases, self.cost_ratio_vs_co)
+        inputs = {"alpha": self.alpha, "beta": self.beta, "i0": self.i0, "period": self.period}
+        _require_in_range("the %s cost" % self.strategy_tag,
+                          [v for v in results if v is not None],
+                          **{k: v for k, v in inputs.items() if v is not None})
 
 
 def _check_inputs(gamma: float | None, **values) -> None:
@@ -65,14 +74,18 @@ def cost_oc(alpha: float, beta: float, i0: float, period: float,
     """Cost of the open-first cycle: grow to the peak, then decay back to i0."""
     _check_inputs(gamma, alpha=alpha, beta=beta, i0=i0, period=period)
     x = _open_exponent(alpha, beta, period)
-    auc = (1.0 / beta + 1.0 / alpha) * math.expm1(x) * i0
+    try:
+        growth, peak = math.expm1(x), math.exp(x)
+    except OverflowError:  # past the float range, which CostReport rejects
+        growth = peak = math.inf
+    auc = (1.0 / beta + 1.0 / alpha) * growth * i0
     return CostReport(
         strategy_tag="OC",
         auc_active=auc,
-        i_max=i0 * math.exp(x),
+        i_max=i0 * peak,
         alpha=alpha, beta=beta, i0=i0, period=period,
         total_new_cases=None if gamma is None else gamma * auc,
-        cost_ratio_vs_co=math.exp(x),
+        cost_ratio_vs_co=peak,
     )
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: payloads, output routing, config handling, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -425,6 +426,50 @@ class TestConfigFiles:
         assert rc == 2
         assert "expected key=value" in err
 
+    @pytest.mark.parametrize("command, text, field, expected", [
+        ("schedule", "alpha = 0.05\n", "alpha", 0.05),                     # float
+        ("fit-cfr", "k-max = 10\n", "k_max", 10),                          # int
+        ("fit-cfr", "country = Korea, South\n", "country", "Korea, South"),  # str
+        ("simulate", "order = co\n", "order", "co"),                       # choice
+        ("fit-cfr", "from = 2020-07-01\n", "date_from", "2020-07-01"),     # date alias
+    ])
+    def test_each_value_kind_reaches_the_handler(self, capsys, tmp_path, command, text,
+                                                 field, expected):
+        rc, doc = run_json(capsys, "--config", self.write(tmp_path, text), command)
+        assert rc == 0
+        assert doc[field] == expected
+        assert type(doc[field]) is type(expected)
+
+    def test_format_choice_from_config(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "--config", self.write(tmp_path, "format = csv\n"), "schedule")
+        assert (rc, err) == (0, "")
+        assert out.startswith("field,value\n")
+
+    def test_flags_override_config_of_every_kind(self, capsys, tmp_path):
+        cfg = self.write(tmp_path, "order = co\nstep = 2\nformat = csv\n")
+        rc, doc = run_json(capsys, "--config", cfg, "simulate", "--order", "oc", "--step", "1")
+        assert rc == 0
+        assert (doc["order"], doc["step"]) == ("oc", 1.0)
+        cfg = self.write(tmp_path, "k-max = 5\ncountry = Atlantis\nto = 2020-12-01\n")
+        rc, doc = run_json(capsys, "--config", cfg, "fit-cfr", "--k-max", "15",
+                           "--country", "Israel", "--to", "2020-12-29")
+        assert rc == 0
+        assert (doc["k_max"], doc["country"], doc["date_to"]) == (15, "Israel", "2020-12-29")
+
+    @pytest.mark.parametrize("command, text, lineno, key, message", [
+        ("schedule", "period = 60\nalpha = abc\n", 2, "alpha", "invalid float value: 'abc'"),
+        ("fit-cfr", "k_max = 1.5\n", 1, "k_max", "invalid int value: '1.5'"),
+        ("simulate", "format = xml\n", 1, "format", "invalid choice: 'xml'"),
+        # checked although schedule has no --order
+        ("schedule", "order = xyz\n", 1, "order", "invalid choice: 'xyz'"),
+    ])
+    def test_bad_value_names_file_line_and_key(self, capsys, tmp_path, command, text, lineno,
+                                               key, message):
+        cfg = self.write(tmp_path, text)
+        rc, out, err = run(capsys, "--config", cfg, command)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: %s:%d: %s: %s" % (cfg, lineno, key, message))
+
 
 class TestBadArguments:
     def test_bad_date_exits_two(self, capsys):
@@ -481,6 +526,20 @@ class TestBadArguments:
         assert str(target) in err
         assert "line %d has the non-finite value 'nan' on 2020-11-17" % lineno in err
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
+    @pytest.mark.parametrize("argv, field", [
+        (("compare-costs", "--period", "1e6"), "period=1000000.0"),
+        (("simulate", "--period", "1e5"), "period=100000.0"),
+        (("simulate", "--i0", "1e307", "--period", "200"), "i0=1e+307"),
+        (("compare-costs", "--i0", "1e306", "--period", "200"), "i0=1e+306"),
+    ])
+    def test_closed_form_leaving_the_float_range_exits_two(self, capsys, argv, field, fmt):
+        rc, out, err = run(capsys, *argv, *fmt)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: the ")
+        assert "leaves the float range at " in err
+        assert field in err
+
     def test_step_past_the_sample_cap_exits_two(self, capsys):
         # 1e-9 days over a 54-day cycle is 5.4e10 samples, refused before allocating
         rc, out, err = run(capsys, "simulate", "--step", "1e-9", "--format", "json")
@@ -490,14 +549,14 @@ class TestBadArguments:
 
     def test_json_writer_rejects_nan_before_writing(self, capsys, tmp_path):
         payload = {"ok": 1.0, "bad": float("nan")}
-        options = {"format": "json"}
+        options = argparse.Namespace(format="json", out=None)
         with pytest.raises(ValueError):
-            _render(options.get, ["summary"], payload, None)
+            _render(options, ["summary"], payload, None)
         assert capsys.readouterr().out == ""
         out_path = tmp_path / "doc.json"
-        options["out"] = str(out_path)
+        options.out = str(out_path)
         with pytest.raises(ValueError):
-            _render(options.get, ["summary"], payload, None)
+            _render(options, ["summary"], payload, None)
         assert not out_path.exists()
         assert capsys.readouterr().out == ""
 

@@ -1,0 +1,166 @@
+"""Property test of the command line over drawn flags and config files.
+
+Whatever the options and wherever they come from, a run ends with exit 0, 2
+or 3 (argparse's own usage errors count as 2), never with a traceback; a
+failed run prints nothing to stdout, JSON documents parse strictly, and a
+run that completes prints no inf or nan in any format.  Drawn values keep
+every simulated trajectory under about 10,000 samples; MAX_SAMPLES has its
+own tests.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lockcycle.cli import main
+
+NON_FINITE = re.compile(r"(?<![\w.])[-+]?(inf|infinity|nan)(?!\w)", re.IGNORECASE)
+
+# values that are out of range, non-finite or not numbers at all
+ODD_NUMBERS = st.sampled_from(["0", "-1", "inf", "-inf", "nan", "5e-324", "abc", ""])
+
+
+def usually(common, rare):
+    # common about three times in four; hypothesis leans to 0, the simplest draw
+    return st.integers(0, 3).flatmap(lambda i: rare if i == 3 else common)
+
+
+def numbers(low, high, *edges):
+    """Float flag text: in [low, high], one of the edges given, or odd."""
+    common = st.floats(min_value=low, max_value=high).map(repr)
+    return usually(common | st.sampled_from(edges) if edges else common, ODD_NUMBERS)
+
+
+def integers(low, high):
+    return usually(st.integers(low, high).map(str), st.sampled_from(["1.5", "x", ""]))
+
+
+# magnitudes whose closed forms reach the edge of the float range
+HUGE = ["1e300", "1e306", "1e307", "1e308"]
+
+DATES = usually(st.sampled_from(["2020-01-22", "2020-06-01", "2020-08-30", "2020-12-16",
+                                 "2020-12-31"]),
+                st.sampled_from(["2021-03-01", "2020-13-01", "junk"]))
+
+# an entry is one flag, or a tuple of flags drawn together
+RATES = [("--alpha", numbers(1e-4, 2.0)), ("--beta", numbers(1e-4, 0.2)),
+         (("--r-open", "--r-close"), st.tuples(numbers(1.0, 20.0), numbers(0.0, 1.0))),
+         ("--gamma", numbers(1e-3, 2.0)), ("--i0", numbers(1e-300, 1e308, *HUGE))]
+
+# "{tmp}" is the example's temporary directory
+OUTPUT = [("--format", usually(st.sampled_from(["json", "csv"]), st.just("xml"))),
+          ("--out", usually(st.sampled_from(["{tmp}/doc.json", "{tmp}/doc.csv", "{tmp}/doc.txt"]),
+                            st.just("{tmp}/absent/doc.json")))]
+
+DATA = [("--data-dir", st.just("{tmp}/absent")),
+        ("--country", usually(st.sampled_from(["Israel", "Korea, South", "Australia"]),
+                              st.just("Atlantis"))),
+        ("--from", DATES), ("--to", DATES)]
+
+OPTIONS = {
+    "schedule": RATES + [("--period", numbers(1e-3, 1e308, *HUGE))] + OUTPUT,
+    "compare-costs": RATES + [("--period", numbers(1e-3, 1e308, *HUGE))] + OUTPUT,
+    # at most 2 x 2,000 days at 0.5-day steps; 1e300 days is refused by the cap
+    "simulate": RATES + [("--period", numbers(1e-3, 2000.0, "1e300")),
+                         ("--order", usually(st.sampled_from(["oc", "co", "oc-then-co"]),
+                                             st.just("xyz"))),
+                         ("--step", usually(st.floats(0.5, 100.0).map(repr),
+                                            st.sampled_from(["0", "-1", "inf", "nan", "1e-9"])))]
+                        + OUTPUT,
+    "fit-cfr": DATA + [("--k-min", integers(-2, 20)), ("--k-max", integers(-2, 40)),
+                       ("--smooth-window", integers(-1, 30))] + OUTPUT,
+    "ingest": DATA + OUTPUT,
+    "validate": DATA[:1] + [("--cfr", numbers(-0.5, 1.5))] + OUTPUT,
+}
+
+# config lines beyond the drawn options: other commands' keys, bad values and
+# malformed lines
+EXTRA_LINES = usually(st.sampled_from(["order = co", "k-max = 20", "cfr = 0.5", "country = Israel",
+                                       "smooth_window = 3", "# comment", ""]),
+                      st.sampled_from(["order = xyz", "k_max = 1.5", "alhpa = 0.05", "alpha"]))
+
+
+@st.composite
+def invocations(draw, command):
+    """([(flag, value, in_config)], extra config lines) for one command."""
+    chosen = []
+    for flags, values in OPTIONS[command]:
+        value = draw(usually(st.none(), values))
+        if value is not None:
+            pairs = zip(flags, value) if isinstance(flags, tuple) else [(flags, value)]
+            chosen += [(flag, text, draw(st.booleans())) for flag, text in pairs]
+    return chosen, draw(st.lists(EXTRA_LINES, max_size=2))
+
+
+def no_constants(name):
+    raise ValueError("non-finite JSON constant %s" % name)
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=no_constants)
+
+
+def check_run(command, chosen, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, lines = [command], list(extra)
+        for flag, value, in_config in chosen:
+            value = value.format(tmp=tmp)
+            if in_config:
+                lines.append("%s = %s" % (flag.lstrip("-"), value))
+            else:
+                argv += [flag, value]
+        if lines:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            argv = ["--config", cfg] + argv
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert rc in (0, 2, 3), (argv, rc, err)
+        assert "Traceback" not in err
+        if rc == 2:
+            assert out == "", argv
+            return
+
+        options = {flag: value.format(tmp=tmp) for flag, value, _ in chosen}
+        documents = [out]
+        if "--out" in options:
+            with open(options["--out"], encoding="utf-8") as fh:
+                documents.append(fh.read())
+        fmt = options.get("--format")
+        if fmt == "json" and "--out" not in options:
+            strict_json(out)
+        elif "--out" in options and (fmt or ("csv" if options["--out"].endswith(".csv")
+                                             else "json")) == "json":
+            strict_json(documents[1])
+        for text in documents:
+            assert not NON_FINITE.search(text), (argv, NON_FINITE.search(text))
+
+
+# The closed-form commands take about a millisecond, the data commands tens
+# of milliseconds, so the first get more examples in the same time.
+@pytest.mark.parametrize("command", ["schedule", "simulate", "compare-costs"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_closed_form_runs_end_well_formed(command, data):
+    check_run(command, *data.draw(invocations(command)))
+
+
+@pytest.mark.parametrize("command", ["fit-cfr", "ingest", "validate"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_data_runs_end_well_formed(command, data):
+    check_run(command, *data.draw(invocations(command)))

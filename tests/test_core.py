@@ -296,6 +296,20 @@ def test_sample_count_is_capped_before_allocating(baseline):
         solve_trajectory(1.0, PhaseSchedule(((1.0, math.inf),)), 0.1)
 
 
+def test_trajectory_leaving_the_float_range_is_rejected(baseline):
+    sched = PhaseSchedule.open_close(baseline)  # the peak is 3.57 times i0
+    with pytest.raises(ValueError, match="the active-case curve leaves the float range "
+                                         "at i0=1e\\+308, gamma=0.0714"):
+        solve_trajectory(1e308, sched, baseline.gamma)
+    # math.exp itself overflows: 0.1/day of growth for 10,000 days
+    with pytest.raises(ValueError, match="leaves the float range at i0=1.0, gamma=0.1, "
+                                         "period=10000.0"):
+        solve_trajectory(1.0, PhaseSchedule(((2.0, 1e4),)), 0.1, sample_step=1e4)
+    # the close-first trough underflows to zero
+    with pytest.raises(ValueError, match="leaves the float range at i0=5e-324"):
+        solve_trajectory(5e-324, swap_cycle(sched), baseline.gamma)
+
+
 def test_phase_boundaries_are_the_segment_edges(baseline):
     traj = solve_trajectory(baseline.i0, PhaseSchedule.open_close(baseline), baseline.gamma)
     first, second = traj.segments

@@ -114,6 +114,23 @@ def test_non_finite_inputs_are_rejected(bad):
         cost_const(100.0, bad)
 
 
+@pytest.mark.parametrize("cost, args, message", [
+    # the exponent alpha*t_open is past math.exp's range
+    (cost_oc, (0.041, 0.0553, 21000.0, 1e6),
+     "the OC cost leaves the float range at alpha=0.041, beta=0.0553, i0=21000.0, "
+     "period=1000000.0"),
+    # the peak factor is finite, the area is not
+    (cost_oc, (0.041, 0.0553, 1e306, 200.0), "the OC cost leaves the float range at .*i0=1e\\+306"),
+    # the close-first area underflows to zero
+    (cost_co, (0.041, 0.0553, 5e-324, 1e-3), "the CO cost leaves the float range at .*i0=5e-324"),
+    (cost_const, (1e300, 1e10), "the CONST cost leaves the float range at i0=1e\\+300, "
+                                "period=10000000000.0"),
+])
+def test_costs_leaving_the_float_range_are_rejected(cost, args, message):
+    with pytest.raises(ValueError, match=message):
+        cost(*args)
+
+
 # --- ratio ----------------------------------------------------------------------
 
 def test_cost_ratio_baseline():

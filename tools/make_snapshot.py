@@ -33,6 +33,12 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.path.join(HERE, os.pardir, "src", "lockcycle", "data")
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+
+# the cycle windows, anchors, fit window and file names the library checks against
+from lockcycle.series import CUMULATIVE_KINDS, JHU_FILENAMES  # noqa: E402
+from lockcycle.validation import (  # noqa: E402
+    ANCHORS, CYCLE_SPLIT, FIT_FROM, FIT_TO, OC_START, PERIOD_END)
 
 START = dt.date(2020, 1, 22)
 END = dt.date(2020, 12, 31)
@@ -44,14 +50,6 @@ SEED = 20201216
 KERNEL_K = 3
 KERNEL_A = 0.943
 KERNEL_B = 0.000485
-
-# exact active-case anchors
-ANCHORS = {
-    "2020-08-30": 20876,
-    "2020-10-03": 71114,
-    "2020-11-16": 8697,
-    "2020-12-16": 20791,
-}
 
 # day-of-week reporting factors for cases (Mon..Sun), summing to 7.0;
 # deaths get no weekday shaping: modulating the kernel output interacts
@@ -88,23 +86,19 @@ CASE_KNOTS = [
     ("2020-12-31", 3900.0),
 ]
 
-# epochs rescaled so the deterministic case totals hit these sums exactly
+# epochs rescaled so the deterministic case totals hit these sums exactly;
+# the last two are the cycles' boundary differences of cumulative confirmed
+DAY = dt.timedelta(days=1)
 EPOCH_TARGETS = [
     ("2020-02-21", "2020-05-31", 17000.0),
-    ("2020-06-01", "2020-08-30", 96500.0),
-    ("2020-08-31", "2020-10-23", 190000.0),
-    ("2020-10-24", "2020-12-16", 52000.0),
+    ("2020-06-01", OC_START, 96500.0),
+    (OC_START + DAY, CYCLE_SPLIT, 190000.0),
+    (CYCLE_SPLIT + DAY, PERIOD_END, 52000.0),
 ]
 
-# active-case curve knots past the bookkeeping epoch (values at anchor dates
-# are the exact anchors); the Aug 1 value is stitched on at build time
-ACTIVE_KNOTS_TAIL = [
-    ("2020-08-30", 20876.0),
-    ("2020-10-03", 71114.0),
-    ("2020-11-16", 8697.0),
-    ("2020-12-16", 20791.0),
-    ("2020-12-31", 32114.0),
-]
+# active-case curve knots past the bookkeeping epoch: the exact anchors, then
+# the year end; the Aug 1 value is stitched on at build time
+ACTIVE_KNOTS_TAIL = [*ANCHORS, ("2020-12-31", 32114.0)]
 
 STITCH_DATE = "2020-08-01"   # scheme bookkeeping before, designed curve after
 RECOVERY_LAG = 12            # days a case stays active in the bookkeeping epoch
@@ -113,8 +107,11 @@ CONFIRMED_CORRECTION = ("2020-05-04", -25)   # one downward source revision
 RECOVERED_CORRECTION = ("2020-07-10", 120)   # one downward source revision
 
 
-def didx(iso):
-    return (dt.date.fromisoformat(iso) - START).days
+def didx(day):
+    """Index on the snapshot timeline of a date or an ISO date string."""
+    if isinstance(day, str):
+        day = dt.date.fromisoformat(day)
+    return (day - START).days
 
 
 def all_dates():
@@ -190,13 +187,13 @@ def check_israel(n, confirmed, deaths_cum, recovered, active):
     dates = all_dates()
     problems = []
 
-    for iso, value in ANCHORS.items():
-        got = active[didx(iso)]
+    for day, value in ANCHORS:
+        got = active[didx(day)]
         if got != value:
-            problems.append("anchor %s: %d != %d" % (iso, got, value))
+            problems.append("anchor %s: %d != %d" % (day, got, value))
 
-    oc = confirmed[didx("2020-10-23")] - confirmed[didx("2020-08-30")]
-    co = confirmed[didx("2020-12-16")] - confirmed[didx("2020-10-23")]
+    oc = confirmed[didx(CYCLE_SPLIT)] - confirmed[didx(OC_START)]
+    co = confirmed[didx(PERIOD_END)] - confirmed[didx(CYCLE_SPLIT)]
     if abs(oc / 190000.0 - 1) > 0.01:
         problems.append("oc window sum %d off target" % oc)
     if abs(co / 52000.0 - 1) > 0.01:
@@ -216,27 +213,26 @@ def check_israel(n, confirmed, deaths_cum, recovered, active):
     if neg_r != [dt.date.fromisoformat(RECOVERED_CORRECTION[0])]:
         problems.append("recovered corrections at %s" % neg_r)
 
-    window = active[didx("2020-08-30"):didx("2020-12-16") + 1]
-    ratio = window.max() / active[didx("2020-08-30")]
+    window = active[didx(OC_START):didx(PERIOD_END) + 1]
+    ratio = window.max() / active[didx(OC_START)]
     if not 3.4 <= ratio <= 3.8:
         problems.append("peak-to-start ratio %.4f out of band" % ratio)
-    if window.max() != ANCHORS["2020-10-03"]:
-        problems.append("window peak %d is not the Oct 3 anchor" % window.max())
+    peak_day, peak = max(ANCHORS, key=lambda anchor: anchor[1])
+    if window.max() != peak:
+        problems.append("window peak %d is not the %s anchor" % (window.max(), peak_day))
 
     return oc, co, ratio, problems
 
 
 def check_fit(n, deaths_cum):
     """Run the real estimation pipeline and report what it finds."""
-    sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
     from lockcycle.series import DailySeries, difference, window
     from lockcycle.cfr import fit
 
     conf = DailySeries(START, np.cumsum(n), "confirmed_cumulative")
     dead = DailySeries(START, deaths_cum, "deaths_cumulative")
-    lo, hi = dt.date(2020, 6, 1), dt.date(2020, 12, 29)
-    cases = window(difference(conf), lo, hi)
-    deaths = window(difference(dead), lo, hi)
+    cases = window(difference(conf), FIT_FROM, FIT_TO)
+    deaths = window(difference(dead), FIT_FROM, FIT_TO)
     model = fit(cases, deaths, k_range=(0, 15), smooth_window=7)
 
     # margin of the delay choice against the neighbours
@@ -328,15 +324,11 @@ def main(out_dir=DATA_DIR):
         ]
 
     os.makedirs(out_dir, exist_ok=True)
-    names = {
-        0: "time_series_covid19_confirmed_global.csv",
-        1: "time_series_covid19_deaths_global.csv",
-        2: "time_series_covid19_recovered_global.csv",
-    }
     manifest = {"date_range": [START.isoformat(), END.isoformat()],
                 "countries": ["Australia", "Israel", "Korea, South"],
                 "files": {}}
-    for which, name in names.items():
+    for which, kind in enumerate(CUMULATIVE_KINDS):
+        name = JHU_FILENAMES[kind]
         path = os.path.join(out_dir, name)
         write_csv(path, series_rows(which))
         digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
