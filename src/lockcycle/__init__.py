@@ -41,11 +41,10 @@ series = _lazy_submodule("series")
 
 # Exports of the lazy modules and of validation, resolved by __getattr__ on first use.
 _DEFERRED = {
-    "cfr": ("CfrModel", "cfr_from_params", "fit_cfr", "parameter_cvs", "predict_deaths"),
-    "series": ("DailySeries", "IngestReport", "active_cases", "difference",
-               "ingest_report", "moving_average", "parse_jhu_timeseries",
-               "read_long_csv", "read_long_json", "window", "write_long_csv",
-               "write_long_json"),
+    "cfr": ("CfrModel", "fit_cfr", "parameter_cvs", "predict_deaths"),
+    "series": ("DailySeries", "active_cases", "difference", "ingest_report",
+               "moving_average", "parse_jhu_timeseries", "read_long_csv",
+               "read_long_json", "window", "write_long_csv", "write_long_json"),
     "validation": ("ValidationReport",),
 }
 _ORIGIN = {name: module for module, names in _DEFERRED.items() for name in names}

@@ -31,7 +31,6 @@ from .series import DailySeries, moving_average, overlap
 
 __all__ = [
     "CfrModel",
-    "cfr_from_params",
     "predict_deaths",
     "fit",
     "parameter_cvs",
@@ -67,18 +66,6 @@ class CfrModel:
     def cfr(self) -> float:
         """Kernel mass b/(1-a): the fraction of cases that end in death."""
         return self.scale_b / (1.0 - self.decay_a)
-
-    def kernel_weights(self, horizon: int) -> np.ndarray:
-        """First horizon kernel weights w(0..horizon-1)."""
-        w = np.zeros(horizon)
-        i = np.arange(self.delay_k, horizon)
-        w[i] = self.scale_b * self.decay_a ** (i - self.delay_k)
-        return w
-
-
-def cfr_from_params(a: float, b: float) -> float:
-    """Kernel mass b/(1-a) of a decay a and a scale b."""
-    return CfrModel(0, a, b).cfr
 
 
 def _delayed(values: np.ndarray, k: int) -> np.ndarray:
@@ -242,7 +229,8 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
     Both series are smoothed with a trailing moving average (smooth_window=1
     disables smoothing), aligned on their common dates, and the residual is
     minimised over (a, b) for every integer delay in k_range; the delay with
-    the smallest residual wins, ties going to the smallest delay.
+    the smallest residual wins, ties going to the smallest delay.  Every
+    searched delay must leave at least 60 aligned points to fit.
 
     Args:
         new_cases: daily new cases.
@@ -261,16 +249,20 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
         raise ValueError("expected a new_cases series, got %s" % new_cases.kind)
     if deaths.kind != "daily_deaths":
         raise ValueError("expected a daily_deaths series, got %s" % deaths.kind)
+    shortest = min(len(new_cases), len(deaths))
+    if not 1 <= smooth_window <= shortest:
+        raise ValueError("smooth_window must be at least 1 and at most the %d days of the "
+                         "shorter series, got %d" % (shortest, smooth_window))
 
     cases_s = moving_average(new_cases, smooth_window)
     deaths_s = moving_average(deaths, smooth_window)
     start, (n, d) = overlap(cases_s, deaths_s)
-    if len(n) < 60:
-        raise ValueError("need at least 60 aligned points after smoothing, have %d" % len(n))
-    if k_hi >= len(n):
-        raise ValueError("k_range upper end %d reaches past the %d available points" % (k_hi, len(n)))
     if not np.any(n != 0.0):
         raise ValueError("case series is identically zero")
+    if len(n) - k_hi < 60:  # so also at least 60 aligned points
+        raise ValueError("k_range upper end %d reaches past the %d points aligned after a "
+                         "smooth_window of %d days: every delay must leave at least 60 "
+                         "fitted points" % (k_hi, len(n), smooth_window))
 
     if not np.any(d != 0.0):
         # no deaths at all: b = 0 fits every delay equally well

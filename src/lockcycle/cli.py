@@ -231,9 +231,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare_costs(args) -> int:
     params = _resolve_params(args)
-    oc = costs.cost_oc(params.alpha, params.beta, params.i0, params.period, gamma=params.gamma)
-    co = costs.cost_co(params.alpha, params.beta, params.i0, params.period, gamma=params.gamma)
-    const = costs.cost_const(params.i0, params.period, gamma=params.gamma)
+    oc = costs.cost_oc(params.alpha, params.beta, params.i0, params.period)
+    co = costs.cost_co(params.alpha, params.beta, params.i0, params.period)
+    const = costs.cost_const(params.i0, params.period)
     ratio = costs.cost_ratio(oc, co)
     payload = {
         "alpha": params.alpha,
@@ -324,11 +324,11 @@ def cmd_ingest(args) -> int:
                      % (s.kind, len(s), s.start_date, s.end_date))
     for s in derived:
         report = ser.ingest_report(s)
-        if report.count:
+        if report:
             spots = ", ".join("%s (%s)" % (day.isoformat(), _s3(value))
-                              for day, value in report.violations)
+                              for day, value in report)
             human.append("  note: %s has %d negative %s: %s"
-                         % (s.kind, report.count,
+                         % (s.kind, len(report),
                             "daily change(s)" if s.kind in ser.CUMULATIVE_KINDS
                             else "value(s)", spots))
     _render(args, human, ser.long_records(derived), lambda fh: ser.write_long_csv(derived, fh))

@@ -20,9 +20,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_GAMMA",
-    "OC",
-    "CO",
-    "CUSTOM",
     "StrategyParams",
     "Phase",
     "PhaseSchedule",
@@ -38,12 +35,6 @@ __all__ = [
 #: Fallback removal rate (1/day) when a strategy is stated in net-rate form
 #: without an explicit gamma; corresponds to a 14-day infectious period.
 DEFAULT_GAMMA = 1.0 / 14.0
-
-# Cycle order tags.  OC opens first and closes second, CO is the reverse,
-# CUSTOM is any other phase sequence.
-OC = "OC"
-CO = "CO"
-CUSTOM = "CUSTOM"
 
 #: Largest number of samples solve_trajectory takes; a sample_step that would
 #: need more is rejected before any array is allocated.
@@ -158,29 +149,18 @@ class Phase:
 class PhaseSchedule:
     """An ordered sequence of phases making up one control cycle.
 
-    order_tag is OC (open first), CO (close first) or CUSTOM.  The tagged
-    two-phase forms are validated structurally; CUSTOM accepts any number of
-    phases and any non-negative reproduction numbers.
+    Any number of phases with any non-negative reproduction numbers is
+    accepted; the phases' rt values give the cycle order (open_close puts
+    the rt > 1 phase first).
     """
 
     phases: tuple
-    order_tag: str = CUSTOM
 
     def __post_init__(self):
         phases = tuple(p if isinstance(p, Phase) else Phase(*p) for p in self.phases)
         object.__setattr__(self, "phases", phases)
         if not phases:
             raise ValueError("schedule needs at least one phase")
-        if self.order_tag not in (OC, CO, CUSTOM):
-            raise ValueError("order_tag must be one of OC, CO, CUSTOM")
-        if self.order_tag in (OC, CO):
-            if len(phases) != 2:
-                raise ValueError("%s schedules have exactly two phases" % self.order_tag)
-            growth, decay = (phases if self.order_tag == OC else phases[::-1])
-            if not growth.rt > 1:
-                raise ValueError("the open phase needs rt > 1")
-            if not decay.rt < 1:
-                raise ValueError("the close phase needs rt < 1")
 
     @property
     def period(self) -> float:
@@ -189,7 +169,7 @@ class PhaseSchedule:
     @classmethod
     def open_close(cls, params: StrategyParams) -> "PhaseSchedule":
         t_open, t_close = phase_lengths(params)
-        return cls((Phase(params.r_open, t_open), Phase(params.r_close, t_close)), OC)
+        return cls((Phase(params.r_open, t_open), Phase(params.r_close, t_close)))
 
     @classmethod
     def close_open(cls, params: StrategyParams) -> "PhaseSchedule":
@@ -259,14 +239,16 @@ def phase_lengths(params: StrategyParams):
     growth and decay exponents cancel exactly: alpha*t_open = beta*t_close.
     """
     t_open = params.beta * params.period / (params.alpha + params.beta)
-    return t_open, params.period - t_open
+    split = (t_open, params.period - t_open)
+    # alpha + beta overflows for rates near the float maximum, leaving t_open 0
+    _require_in_range("the balanced split", split,
+                      alpha=params.alpha, beta=params.beta, period=params.period)
+    return split
 
 
 def average_rt(schedule: PhaseSchedule) -> float:
     """Duration-weighted mean reproduction number of a schedule."""
-    total = math.fsum(p.duration for p in schedule.phases)
-    weighted = math.fsum(p.rt * p.duration for p in schedule.phases)
-    return weighted / total
+    return math.fsum(p.rt * p.duration for p in schedule.phases) / schedule.period
 
 
 def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
@@ -315,8 +297,7 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
 
 
 def swap_cycle(schedule: PhaseSchedule) -> PhaseSchedule:
-    """Reverse the phase order of a two-phase cycle, swapping OC and CO tags."""
+    """Reverse the phase order of a two-phase cycle."""
     if len(schedule.phases) != 2:
         raise ValueError("swap_cycle is defined for two-phase cycles only")
-    tag = {OC: CO, CO: OC}.get(schedule.order_tag, CUSTOM)
-    return PhaseSchedule((schedule.phases[1], schedule.phases[0]), tag)
+    return PhaseSchedule(schedule.phases[::-1])

@@ -5,7 +5,7 @@ curve (person-days).  For a balanced cycle this area has closed forms in the
 net rates alpha (open-phase growth) and beta (close-phase decay), and the
 open-first to close-first cost ratio collapses to the peak-to-start ratio
 exp(alpha*t_open).  For balanced cycles the total of new cases over the
-period is gamma times the same area.
+period is gamma times the same area, which new_cases_over_window gives.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ __all__ = [
 class CostReport:
     """Per-strategy cost summary over one period.
 
-    auc_active is in person-days.  total_new_cases is gamma*auc_active and is
-    only filled in when gamma was supplied (it presumes a balanced cycle).
-    cost_ratio_vs_co is only set on open-first reports.  The generating
-    parameters are kept so ratio checks can reject mismatched comparisons.
-    A report whose figures leave the float range is rejected with a
-    ValueError naming the parameters that produced it.
+    auc_active is in person-days and i_max is the curve's peak, so an
+    open-first report's peak-to-start ratio i_max/i0 is its cost ratio to
+    close-first.  The generating parameters are kept so ratio checks can
+    reject mismatched comparisons.  A report whose figures leave the float
+    range is rejected with a ValueError naming the parameters that produced
+    it.
     """
 
     strategy_tag: str
@@ -46,22 +46,11 @@ class CostReport:
     beta: float | None
     i0: float
     period: float
-    total_new_cases: float | None = None
-    cost_ratio_vs_co: float | None = None
 
     def __post_init__(self):
-        results = (self.auc_active, self.i_max, self.total_new_cases, self.cost_ratio_vs_co)
         inputs = {"alpha": self.alpha, "beta": self.beta, "i0": self.i0, "period": self.period}
-        _require_in_range("the %s cost" % self.strategy_tag,
-                          [v for v in results if v is not None],
+        _require_in_range("the %s cost" % self.strategy_tag, (self.auc_active, self.i_max),
                           **{k: v for k, v in inputs.items() if v is not None})
-
-
-def _check_inputs(gamma: float | None, **values) -> None:
-    # every input finite and positive; gamma only when it was given
-    if gamma is not None:
-        values["gamma"] = gamma
-    _require_positive(**values)
 
 
 def _open_exponent(alpha: float, beta: float, period: float) -> float:
@@ -69,54 +58,45 @@ def _open_exponent(alpha: float, beta: float, period: float) -> float:
     return alpha * (beta * period / (alpha + beta))
 
 
-def cost_oc(alpha: float, beta: float, i0: float, period: float,
-            gamma: float | None = None) -> CostReport:
+def cost_oc(alpha: float, beta: float, i0: float, period: float) -> CostReport:
     """Cost of the open-first cycle: grow to the peak, then decay back to i0."""
-    _check_inputs(gamma, alpha=alpha, beta=beta, i0=i0, period=period)
+    _require_positive(alpha=alpha, beta=beta, i0=i0, period=period)
     x = _open_exponent(alpha, beta, period)
     try:
         growth, peak = math.expm1(x), math.exp(x)
     except OverflowError:  # past the float range, which CostReport rejects
         growth = peak = math.inf
-    auc = (1.0 / beta + 1.0 / alpha) * growth * i0
     return CostReport(
         strategy_tag="OC",
-        auc_active=auc,
+        auc_active=(1.0 / beta + 1.0 / alpha) * growth * i0,
         i_max=i0 * peak,
         alpha=alpha, beta=beta, i0=i0, period=period,
-        total_new_cases=None if gamma is None else gamma * auc,
-        cost_ratio_vs_co=peak,
     )
 
 
-def cost_co(alpha: float, beta: float, i0: float, period: float,
-            gamma: float | None = None) -> CostReport:
+def cost_co(alpha: float, beta: float, i0: float, period: float) -> CostReport:
     """Cost of the close-first cycle: decay to the trough, then grow back to i0.
 
     The curve never exceeds its starting value, so i_max = i0 at t = 0.
     """
-    _check_inputs(gamma, alpha=alpha, beta=beta, i0=i0, period=period)
+    _require_positive(alpha=alpha, beta=beta, i0=i0, period=period)
     x = _open_exponent(alpha, beta, period)
-    auc = (1.0 / beta + 1.0 / alpha) * (-math.expm1(-x)) * i0
     return CostReport(
         strategy_tag="CO",
-        auc_active=auc,
+        auc_active=(1.0 / beta + 1.0 / alpha) * (-math.expm1(-x)) * i0,
         i_max=i0,
         alpha=alpha, beta=beta, i0=i0, period=period,
-        total_new_cases=None if gamma is None else gamma * auc,
     )
 
 
-def cost_const(i0: float, period: float, gamma: float | None = None) -> CostReport:
+def cost_const(i0: float, period: float) -> CostReport:
     """Cost of holding the active count flat at i0 for the whole period."""
-    _check_inputs(gamma, i0=i0, period=period)
-    auc = i0 * period
+    _require_positive(i0=i0, period=period)
     return CostReport(
         strategy_tag="CONST",
-        auc_active=auc,
+        auc_active=i0 * period,
         i_max=i0,
         alpha=None, beta=None, i0=i0, period=period,
-        total_new_cases=None if gamma is None else gamma * auc,
     )
 
 
@@ -139,8 +119,6 @@ def cost_ratio(oc: CostReport, co: CostReport) -> float:
     if not math.isclose(ratio, reference, rel_tol=1e-9):
         raise ArithmeticError("cost ratio %.17g disagrees with exp(alpha*t_open) = %.17g"
                               % (ratio, reference))
-    if not math.isclose(ratio, oc.i_max / oc.i0, rel_tol=1e-9):
-        raise ArithmeticError("cost ratio disagrees with the peak-to-start ratio")
     return ratio
 
 
@@ -157,19 +135,13 @@ def auc_trapezoid(times, values) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _is_daily_series(traj) -> bool:
-    # Duck-typed so this module does not import series (and numpy with it):
-    # a DailySeries is the only accepted input carrying a start_date.
-    return hasattr(traj, "start_date")
-
-
 def auc_numeric(traj) -> float:
     """Area under an active-case curve.
 
     Solved trajectories integrate each exponential arc exactly:
     (I_end - I_start)/rate per segment, or I*duration where the rate is zero.
-    Empirical inputs (a DailySeries or a (times, values) pair) fall back to
-    the trapezoid rule.
+    Empirical samples, given as a (times, values) pair, fall back to the
+    trapezoid rule.
     """
     if isinstance(traj, Trajectory):
         parts = []
@@ -179,8 +151,6 @@ def auc_numeric(traj) -> float:
             else:
                 parts.append((seg.end_value - seg.start_value) / seg.rate)
         return math.fsum(parts)
-    if _is_daily_series(traj):
-        return auc_trapezoid(range(len(traj)), traj.values)
     times, values = traj
     return auc_trapezoid(times, values)
 
@@ -190,10 +160,6 @@ def _endpoints(traj):
     if isinstance(traj, Trajectory):
         t_end, i_end = traj.phase_boundaries[-1]
         return traj.phase_boundaries[0][1], i_end, t_end
-    if _is_daily_series(traj):
-        if len(traj) < 2:
-            raise ValueError("need at least two samples")
-        return float(traj.values[0]), float(traj.values[-1]), float(len(traj) - 1)
     times, values = traj
     return float(values[0]), float(values[-1]), float(times[-1] - times[0])
 

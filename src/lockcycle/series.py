@@ -20,7 +20,6 @@ __all__ = [
     "KINDS",
     "CUMULATIVE_KINDS",
     "DailySeries",
-    "IngestReport",
     "parse_jhu_timeseries",
     "load_country",
     "ingest_report",
@@ -67,14 +66,12 @@ JHU_FILENAMES = {
 class DailySeries:
     """A contiguous daily-sampled series starting at start_date.
 
-    kind is one of KINDS.  clipped is set by window() when the requested
-    range ran past the available data.  Values are frozen after construction.
+    kind is one of KINDS.  Values are frozen after construction.
     """
 
     start_date: dt.date
     values: np.ndarray
     kind: str
-    clipped: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -106,19 +103,6 @@ class DailySeries:
 
     def value_on(self, day: dt.date) -> float:
         return float(self.values[self.index_of(day)])
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    """Reporting artifacts found in a series: dates with a negative increment
-    (cumulative kinds) or a negative value (daily kinds)."""
-
-    kind: str
-    violations: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.violations)
 
 
 def _parse_mdy(token: str, path: str, column: int) -> dt.date:
@@ -205,8 +189,12 @@ def load_country(data_dir, country: str, kinds=CUMULATIVE_KINDS) -> list:
             for kind in kinds]
 
 
-def ingest_report(series: DailySeries) -> IngestReport:
-    """List source anomalies without changing the data."""
+def ingest_report(series: DailySeries) -> tuple:
+    """List source anomalies without changing the data.
+
+    Returns (date, value) pairs: each date with a negative increment and the
+    increment (cumulative kinds), or each negative value (daily kinds).
+    """
     out = []
     days = series.dates()
     if series.kind in CUMULATIVE_KINDS:
@@ -216,7 +204,7 @@ def ingest_report(series: DailySeries) -> IngestReport:
     else:
         for i in np.nonzero(series.values < 0)[0]:
             out.append((days[i], float(series.values[i])))
-    return IngestReport(series.kind, tuple(out))
+    return tuple(out)
 
 
 def difference(series: DailySeries) -> DailySeries:
@@ -255,7 +243,7 @@ def active_cases(confirmed: DailySeries, deaths: DailySeries,
 
 
 def window(series: DailySeries, start: dt.date, end: dt.date) -> DailySeries:
-    """Inclusive date window.  Edges outside the data are clipped and flagged."""
+    """Inclusive date window.  Edges outside the data are cut to its range."""
     if start > end:
         raise ValueError("window start %s is after end %s" % (start, end))
     if len(series) == 0:
@@ -263,12 +251,11 @@ def window(series: DailySeries, start: dt.date, end: dt.date) -> DailySeries:
     if end < series.start_date or start > series.end_date:
         raise ValueError("window %s..%s does not intersect series range %s..%s"
                          % (start, end, series.start_date, series.end_date))
-    clipped = start < series.start_date or end > series.end_date
     lo = max(start, series.start_date)
     hi = min(end, series.end_date)
     i = (lo - series.start_date).days
     j = (hi - series.start_date).days
-    return DailySeries(lo, series.values[i:j + 1], series.kind, clipped=clipped)
+    return DailySeries(lo, series.values[i:j + 1], series.kind)
 
 
 def moving_average(series: DailySeries, window_days: int) -> DailySeries:

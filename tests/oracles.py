@@ -78,6 +78,14 @@ def convolve_direct(cases, k, a, b):
     return np.array(out)
 
 
+def kernel_weights(k, a, b, horizon):
+    """First horizon kernel weights w(0..horizon-1): b*a^(i-k) from i = k on."""
+    w = np.zeros(horizon)
+    i = np.arange(k, horizon)
+    w[i] = b * a ** (i - k)
+    return w
+
+
 def _profile_terms(cases, deaths, k, a):
     # day-step state s(t) = a*s(t-1) + n(t-k) and its a-derivative
     # ds(t) = a*ds(t-1) + s(t-1); returns the best scale b and r . ds/da

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lockcycle import CfrModel, DailySeries, cfr_from_params, fit_cfr, predict_deaths
+from lockcycle import CfrModel, DailySeries, fit_cfr, predict_deaths
 from lockcycle.cfr import _delayed, _one_pole, _profile_slopes, parameter_cvs
 
 import oracles
@@ -33,14 +33,14 @@ def smooth_case_curve(days, rng=None):
 # --- model type ----------------------------------------------------------------
 
 def test_cfr_from_params_value():
-    assert cfr_from_params(0.943, 0.000485) == pytest.approx(0.008508771929824554, rel=1e-12)
-    assert cfr_from_params(0.0, 0.01) == 0.01
+    assert CfrModel(0, 0.943, 0.000485).cfr == pytest.approx(0.008508771929824554, rel=1e-12)
+    assert CfrModel(0, 0.0, 0.01).cfr == 0.01
     with pytest.raises(ValueError):
-        cfr_from_params(1.0, 0.01)
+        CfrModel(0, 1.0, 0.01)
     with pytest.raises(ValueError):
-        cfr_from_params(-0.1, 0.01)
+        CfrModel(0, -0.1, 0.01)
     with pytest.raises(ValueError):
-        cfr_from_params(0.5, -0.01)
+        CfrModel(0, 0.5, -0.01)
 
 
 def test_model_validation():
@@ -56,7 +56,7 @@ def test_model_validation():
 
 def test_kernel_weights_shape_and_mass():
     m = CfrModel(3, 0.9, 0.004)
-    w = m.kernel_weights(200)
+    w = oracles.kernel_weights(m.delay_k, m.decay_a, m.scale_b, 200)
     assert np.all(w[:3] == 0.0)
     assert w[3] == 0.004
     partial = 0.004 * (1.0 - 0.9 ** 197) / 0.1
@@ -207,6 +207,25 @@ def test_fit_input_validation():
         fit_cfr(make_cases(np.ones(70)), make_deaths(np.ones(70)), k_range=(0, 70))
     with pytest.raises(ValueError, match="zero"):
         fit_cfr(make_cases(np.zeros(80)), make_deaths(np.ones(80)))
+
+
+@pytest.mark.parametrize("window", [0, -3, 101])
+def test_fit_names_a_bad_smooth_window(window):
+    cases, deaths = make_cases(np.ones(100)), make_deaths(np.ones(100))
+    with pytest.raises(ValueError, match="smooth_window must be at least 1 and at most the "
+                                         "100 days of the shorter series, got %d" % window):
+        fit_cfr(cases, deaths, smooth_window=window)
+
+
+def test_every_searched_delay_leaves_sixty_fitted_points():
+    cases = make_cases(smooth_case_curve(130))
+    deaths = make_deaths(oracles.convolve_direct(smooth_case_curve(130), 3, 0.9, 0.004))
+    # smoothing over 7 days leaves 124 aligned points, so 64 is the largest delay
+    assert fit_cfr(cases, deaths, k_range=(0, 64)).delay_k == 3
+    with pytest.raises(ValueError, match="k_range upper end 65 reaches past the 124 points "
+                                         "aligned after a smooth_window of 7 days: every "
+                                         "delay must leave at least 60 fitted points"):
+        fit_cfr(cases, deaths, k_range=(60, 65))
 
 
 def test_fit_with_no_deaths_returns_zero_scale():

@@ -117,6 +117,13 @@ class TestCompareCosts:
         assert "person-days" in out
         assert "OC / CO ratio" in out
 
+    def test_unprinted_new_case_total_does_not_overflow(self, capsys):
+        # gamma * cost_oc is past the float range, but no printed figure is
+        rc, doc = run_json(capsys, "compare-costs", "--i0", "1e300", "--gamma", "1e13")
+        assert rc == 0
+        assert doc["cost_oc"] == pytest.approx(1.0897752193879958e302, rel=1e-12)
+        assert doc["peak_factor"] == pytest.approx(3.565781261597511, rel=1e-12)
+
 
 class TestFitCfr:
     def test_fit_on_bundled_snapshot(self, capsys):
@@ -532,6 +539,8 @@ class TestBadArguments:
         (("simulate", "--period", "1e5"), "period=100000.0"),
         (("simulate", "--i0", "1e307", "--period", "200"), "i0=1e+307"),
         (("compare-costs", "--i0", "1e306", "--period", "200"), "i0=1e+306"),
+        # alpha + beta overflows, so the balanced split would give t_open = 0
+        (("schedule", "--alpha", "1e308", "--beta", "1e308", "--gamma", "1e308"), "alpha=1e+308"),
     ])
     def test_closed_form_leaving_the_float_range_exits_two(self, capsys, argv, field, fmt):
         rc, out, err = run(capsys, *argv, *fmt)

@@ -11,6 +11,7 @@ own tests.
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -107,6 +108,17 @@ def strict_json(text):
     return json.loads(text, parse_constant=no_constants)
 
 
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+    return rc, stdout.getvalue(), stderr.getvalue()
+
+
 def check_run(command, chosen, extra):
     with tempfile.TemporaryDirectory() as tmp:
         argv, lines = [command], list(extra)
@@ -122,13 +134,7 @@ def check_run(command, chosen, extra):
                 fh.write("\n".join(lines) + "\n")
             argv = ["--config", cfg] + argv
 
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                rc = exc.code
-        out, err = stdout.getvalue(), stderr.getvalue()
+        rc, out, err = run_main(argv)
         assert rc in (0, 2, 3), (argv, rc, err)
         assert "Traceback" not in err
         if rc == 2:
@@ -164,3 +170,31 @@ def test_closed_form_runs_end_well_formed(command, data):
 @given(data=st.data())
 def test_data_runs_end_well_formed(command, data):
     check_run(command, *data.draw(invocations(command)))
+
+
+# The bundled snapshot has 344 daily values, the default fit window 212.
+SPANS = st.sampled_from([[], ["--from", "2020-01-23", "--to", "2020-12-31"]])
+
+
+# half of the draws in the range a fit can support, the rest across the series
+DELAY = st.integers(0, 150) | st.integers(0, 370)
+# two delays, in order three times in four
+DELAYS = usually(st.lists(DELAY, min_size=2, max_size=2).map(sorted),
+                 st.lists(DELAY, min_size=2, max_size=2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(delays=DELAYS, window=st.integers(1, 21) | st.integers(0, 370), span=SPANS)
+def test_fit_delay_range_and_smoothing_across_the_series(delays, window, span):
+    """A fit either reports finite CVs or exits 2 naming the option at fault."""
+    k_min, k_max = delays
+    rc, out, err = run_main(["fit-cfr", "--k-min", str(k_min), "--k-max", str(k_max),
+                             "--smooth-window", str(window), "--format", "json", *span])
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert out == ""
+        assert "k_range" in err or "smooth_window" in err, err
+        return
+    doc = strict_json(out)
+    for key in ("cv_a_percent", "cv_b_percent"):
+        assert doc[key] is None or math.isfinite(doc[key]), (key, doc[key])

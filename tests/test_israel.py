@@ -142,12 +142,12 @@ def test_fitted_deaths_cover_the_requested_span(israel_fit):
 
 def test_source_anomalies_are_reported_not_repaired(israel):
     confirmed_report = ser.ingest_report(israel["confirmed"])
-    assert confirmed_report.count == 1
-    assert confirmed_report.violations[0][0] == D(2020, 5, 4)
+    assert len(confirmed_report) == 1
+    assert confirmed_report[0][0] == D(2020, 5, 4)
 
     recovered_report = ser.ingest_report(israel["recovered"])
-    assert recovered_report.count == 1
-    assert recovered_report.violations[0][0] == D(2020, 7, 10)
+    assert len(recovered_report) == 1
+    assert recovered_report[0][0] == D(2020, 7, 10)
 
     deaths_report = ser.ingest_report(israel["deaths"])
-    assert deaths_report.count == 0
+    assert deaths_report == ()
