@@ -44,7 +44,7 @@ _DEFERRED = {
     "cfr": ("CfrModel", "fit_cfr", "parameter_cvs", "predict_deaths"),
     "series": ("DailySeries", "active_cases", "difference", "ingest_report",
                "moving_average", "parse_jhu_timeseries", "read_long_csv",
-               "read_long_json", "window", "write_long_csv", "write_long_json"),
+               "read_long_json", "window"),
     "validation": ("ValidationReport",),
 }
 _ORIGIN = {name: module for module, names in _DEFERRED.items() for name in names}

@@ -116,20 +116,13 @@ def _resolve_params(args) -> core.StrategyParams:
         args.i0, args.period, gamma=args.gamma)
 
 
-def _cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _csv_writer(header, rows):
-    # writes a CSV document: the header row, then rows of cells
+    # writes a CSV document: the header row, then rows of cells; csv writes
+    # None as an empty cell and a float as float.__repr__ gives it
     def write(fh):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows([_cell(v) for v in row] for row in rows)
+        w.writerows(rows)
     return write
 
 
@@ -331,19 +324,15 @@ def cmd_ingest(args) -> int:
                          % (s.kind, len(report),
                             "daily change(s)" if s.kind in ser.CUMULATIVE_KINDS
                             else "value(s)", spots))
-    _render(args, human, ser.long_records(derived), lambda fh: ser.write_long_csv(derived, fh))
+    records = ser.long_records(derived)
+    rows = ((r["date"], r["kind"], r["value"]) for r in records)
+    _render(args, human, records, _csv_writer(("date", "kind", "value"), rows))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     if args.cfr is not None:
-        validation.check_cfr(args.cfr, "--cfr")  # before the snapshot is read
-    problems = validation.verify_checksums(args.data_dir)
-    if problems:
-        for p in problems:
-            print("snapshot rejected: %s" % p, file=sys.stderr)
-        return EXIT_INPUT
-
+        validation.check_cfr(args.cfr, "--cfr")  # so the message names the flag
     report, checks = validation.validate(args.data_dir, args.cfr)
     cfr_source = "fitted" if args.cfr is None else "flag"
     payload = {
@@ -465,16 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        # config values become the subcommand's defaults, so flags still win
-        try:
-            config = load_config(args.config, parser)
-        except (OSError, ValueError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_INPUT
-        _subcommands(parser)[args.command].set_defaults(**config)
-        args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config values become the subcommand's defaults, so flags still win
+            _subcommands(parser)[args.command].set_defaults(**load_config(args.config, parser))
+            args = parser.parse_args(argv)
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

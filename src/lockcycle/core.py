@@ -54,10 +54,10 @@ def _require_positive(**values) -> None:
             raise ValueError("%s must be positive" % name)
 
 
-def _require_in_range(what: str, results, **inputs) -> None:
-    # The closed forms map positive finite inputs to positive finite results,
-    # so any other result means an exponential left the float range.
-    if not all(0.0 < v < math.inf for v in results):
+def _require_in_range(what: str, results, low=0.0, **inputs) -> None:
+    # The closed forms map positive finite inputs to results above low, so any
+    # other result means an exponential or a product left the float range.
+    if not all(low < v < math.inf for v in results):
         raise ValueError("%s leaves the float range at %s"
                          % (what, ", ".join("%s=%r" % item for item in inputs.items())))
 
@@ -100,15 +100,11 @@ class StrategyParams:
     def from_reproduction_numbers(cls, gamma: float, r_open: float, r_close: float,
                                   i0: float, period: float) -> "StrategyParams":
         _require_finite(gamma=gamma, r_open=r_open, r_close=r_close, i0=i0, period=period)
-        return cls(
-            gamma=gamma,
-            r_open=r_open,
-            r_close=r_close,
-            i0=i0,
-            period=period,
-            alpha=gamma * (r_open - 1.0),
-            beta=gamma * (1.0 - r_close),
-        )
+        alpha, beta = gamma * (r_open - 1.0), gamma * (1.0 - r_close)
+        _require_in_range("the derived rate pair", (alpha, beta), -math.inf,
+                          gamma=gamma, r_open=r_open, r_close=r_close)
+        return cls(gamma=gamma, r_open=r_open, r_close=r_close, i0=i0, period=period,
+                   alpha=alpha, beta=beta)
 
     @classmethod
     def from_growth_rates(cls, alpha: float, beta: float, i0: float, period: float,
@@ -120,15 +116,11 @@ class StrategyParams:
         """
         _require_finite(alpha=alpha, beta=beta, i0=i0, period=period)
         _require_positive(gamma=gamma)  # the divisor of the derived pair
-        return cls(
-            gamma=gamma,
-            r_open=1.0 + alpha / gamma,
-            r_close=1.0 - beta / gamma,
-            i0=i0,
-            period=period,
-            alpha=alpha,
-            beta=beta,
-        )
+        r_open, r_close = 1.0 + alpha / gamma, 1.0 - beta / gamma
+        _require_in_range("the derived reproduction-number pair", (r_open, r_close), -math.inf,
+                          alpha=alpha, beta=beta, gamma=gamma)
+        return cls(gamma=gamma, r_open=r_open, r_close=r_close, i0=i0, period=period,
+                   alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -171,10 +163,6 @@ class PhaseSchedule:
         t_open, t_close = phase_lengths(params)
         return cls((Phase(params.r_open, t_open), Phase(params.r_close, t_close)))
 
-    @classmethod
-    def close_open(cls, params: StrategyParams) -> "PhaseSchedule":
-        return swap_cycle(cls.open_close(params))
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -184,7 +172,6 @@ class Segment:
     duration: float
     rate: float        # net rate gamma*(rt - 1), 1/day
     start_value: float
-    rt: float
 
     @property
     def end_time(self) -> float:
@@ -269,7 +256,7 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     t, val = 0.0, float(i0)
     for ph in schedule.phases:
         rate = gamma * (ph.rt - 1.0)
-        segments.append(Segment(t, ph.duration, rate, val, ph.rt))
+        segments.append(Segment(t, ph.duration, rate, val))
         t, val = segments[-1].end_time, segments[-1].end_value
     total = t
 
@@ -282,10 +269,10 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     _require_in_range("the active-case curve", [s.end_value for s in segments],
                       i0=i0, gamma=gamma, period=total)
     times = np.arange(n_steps + 1, dtype=float) * sample_step
-    if total - times[-1] > 1e-9 * max(1.0, total):
-        times = np.append(times, total)
-    else:
+    if n_steps and total - times[-1] <= 1e-9 * sample_step:
         times[-1] = total  # snap fp drift so the last sample sits on the cycle end
+    else:  # the t=0 sample stays even on a cycle shorter than the snap tolerance
+        times = np.append(times, total)
 
     starts = np.array([s.start_time for s in segments])
     rates = np.array([s.rate for s in segments])

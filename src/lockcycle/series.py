@@ -1,4 +1,4 @@
-"""Dated daily series: JHU CSSE ingestion, differencing, windows, smoothing, I/O.
+"""Dated daily series: JHU CSSE ingestion, differencing, windows, smoothing, long format.
 
 Cumulative inputs are kept exactly as published.  Reporting artifacts such as
 negative daily increments or downward revisions of a cumulative series are
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import math
 import os
@@ -30,9 +31,7 @@ __all__ = [
     "moving_average",
     "series_to_rows",
     "long_records",
-    "write_long_csv",
     "read_long_csv",
-    "write_long_json",
     "read_long_json",
 ]
 
@@ -106,16 +105,12 @@ class DailySeries:
 
 
 def _parse_mdy(token: str, path: str, column: int) -> dt.date:
-    parts = token.strip().split("/")
-    if len(parts) != 3:
-        raise ValueError("%s: bad date column %d: %r (expected m/d/yy)" % (path, column, token))
     try:
-        m, d, y = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ValueError("%s: bad date column %d: %r (expected m/d/yy)" % (path, column, token))
-    if y < 100:
-        y += 2000
-    return dt.date(y, m, d)
+        m, d, y = (int(part) for part in token.strip().split("/"))
+        return dt.date(y + 2000 if y < 100 else y, m, d)
+    except ValueError:  # wrong part count, a non-integer part or no such day
+        raise ValueError("%s: bad date column %d: %r (expected m/d/yy)"
+                         % (path, column, token)) from None
 
 
 def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
@@ -276,7 +271,7 @@ def moving_average(series: DailySeries, window_days: int) -> DailySeries:
 # long-format emission and read-back
 #
 # Rows are (date, kind, value) ordered by date, then by the order in which the
-# series were given.  Values are written with repr so floats round-trip.
+# series were given.  The CLI writes values with repr, so floats round-trip.
 
 def series_to_rows(series_list):
     kind_rank = {}
@@ -292,29 +287,10 @@ def series_to_rows(series_list):
     return rows
 
 
-def _write_text(dest, text) -> None:
-    # dest is a path or an open text file
-    if hasattr(dest, "write"):
-        dest.write(text)
-        return
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def write_long_csv(series_list, dest) -> None:
-    _write_text(dest, "date,kind,value\n" + "".join(
-        "%s,%s,%r\n" % (day.isoformat(), kind, v) for day, kind, v in series_to_rows(series_list)))
-
-
 def long_records(series_list):
     """The long format as a list of {date, kind, value} records."""
     return [{"date": day.isoformat(), "kind": kind, "value": v}
             for day, kind, v in series_to_rows(series_list)]
-
-
-def write_long_json(series_list, dest) -> None:
-    # serialise first, so a non-finite value fails before dest is touched
-    _write_text(dest, json.dumps(long_records(series_list), indent=2, allow_nan=False) + "\n")
 
 
 def _series_from_rows(rows, path):
@@ -335,21 +311,56 @@ def _series_from_rows(rows, path):
     return out
 
 
+def _read_text(path):
+    # a decoding fault names the file; the codec gives the byte offset
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _series_from_records(path, records, where):
+    # records of a file from outside the program, as (date, kind, value)
+    # triples; any fault names the file and the record that where(i) gives
+    rows = []
+    try:
+        for record in records:
+            if len(record) != 3:
+                raise ValueError("%d fields, expected 3" % len(record))
+            date, kind, value = record
+            if kind not in KINDS:
+                raise ValueError("unknown series kind %r" % (kind,))
+            rows.append((dt.date.fromisoformat(date), kind, float(value)))
+    except (TypeError, ValueError, csv.Error) as exc:
+        raise ValueError("%s: %s: %s" % (path, where(len(rows)), exc)) from None
+    return _series_from_rows(rows, path)
+
+
 def read_long_csv(path):
     """Read back a long-format csv as {kind: DailySeries}."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "kind", "value"]:
-            raise ValueError("%s: expected header date,kind,value" % path)
-        rows = [(dt.date.fromisoformat(r[0]), r[1], float(r[2])) for r in reader]
-    return _series_from_rows(rows, path)
+    header, _, body = _read_text(path).partition("\n")
+    if header.rstrip("\r") != "date,kind,value":
+        raise ValueError("%s: expected header date,kind,value" % path)
+    reader = csv.reader(io.StringIO(body, newline=""))
+    return _series_from_records(path, reader, lambda i: "line %d" % (reader.line_num + 1))
 
 
 def read_long_json(path):
     """Read back a long-format json array as {kind: DailySeries}."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    rows = [(dt.date.fromisoformat(item["date"]), item["kind"], float(item["value"]))
-            for item in payload]
-    return _series_from_rows(rows, path)
+    text = _read_text(path)
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+    if not isinstance(payload, list):
+        raise ValueError("%s: expected a JSON array of {date, kind, value} records" % path)
+    records = []
+    for i, item in enumerate(payload):
+        try:
+            records.append((item["date"], item["kind"], item["value"]))
+        except (TypeError, KeyError):
+            raise ValueError("%s: record %d is not a {date, kind, value} object"
+                             % (path, i)) from None
+    return _series_from_records(path, records, lambda i: "record %d" % i)

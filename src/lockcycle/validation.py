@@ -5,8 +5,8 @@ close-first.  validate() reads each cycle's case total off the cumulative
 confirmed curve at the cycle boundaries, turns the totals into death
 estimates with one case fatality rate (fitted to the snapshot, or given),
 and checks them, the active-case anchors and the model's peak-over-baseline
-ratio against the documented figures.  verify_checksums() confirms that a
-snapshot directory still matches its MANIFEST.json.
+ratio against the documented figures.  It first runs verify_checksums(),
+which confirms that a snapshot directory still matches its MANIFEST.json.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ def default_data_dir() -> str:
 def verify_checksums(data_dir):
     """Compare every file listed in MANIFEST.json against its sha256.
 
+    The manifest must list each of the JHU_FILENAMES with a sha256 string.
     Returns a list of problem strings; empty means the snapshot is intact.
     """
     manifest_path = os.path.join(data_dir, "MANIFEST.json")
@@ -100,11 +101,19 @@ def verify_checksums(data_dir):
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return ["unreadable MANIFEST.json: %s" % exc]
-    problems = []
-    for name in sorted(manifest.get("files", {})):
-        expected = manifest["files"][name]["sha256"]
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict):
+        return ["MANIFEST.json has no \"files\" object"]
+    problems = ["MANIFEST.json does not list %s" % name
+                for name in sorted(ser.JHU_FILENAMES.values()) if name not in files]
+    for name in sorted(files):
+        entry = files[name]
+        expected = entry.get("sha256") if isinstance(entry, dict) else None
+        if not isinstance(expected, str):
+            problems.append("MANIFEST.json has no sha256 string for %s" % name)
+            continue
         path = os.path.join(data_dir, name)
         if not os.path.exists(path):
             problems.append("missing data file %s" % name)
@@ -127,9 +136,9 @@ def validate(data_dir, cfr=None):
     """Run the two-cycle validation on the Israel rows of a snapshot.
 
     cfr, when given, replaces the case fatality rate fitted over
-    FIT_FROM..FIT_TO; it must pass check_cfr, which runs before any file is
-    read.  The snapshot's checksums are not verified here; call
-    verify_checksums first.
+    FIT_FROM..FIT_TO; it must pass check_cfr.  Then verify_checksums must
+    find no problem, or ValueError is raised with one "snapshot rejected:"
+    line per problem.  Both checks run before any data file is read.
 
     Returns (report, checks).  Each check is a dict with name, value, low,
     high and ok: first the exact active-case ANCHORS, then the TOLERANCES
@@ -137,6 +146,9 @@ def validate(data_dir, cfr=None):
     """
     if cfr is not None:
         check_cfr(cfr)
+    problems = verify_checksums(data_dir)
+    if problems:
+        raise ValueError("\n".join("snapshot rejected: %s" % p for p in problems))
     confirmed, deaths, recovered = ser.load_country(data_dir, "Israel")
     active = ser.active_cases(confirmed, deaths, recovered)
     oc_cases = confirmed.value_on(CYCLE_SPLIT) - confirmed.value_on(OC_START)

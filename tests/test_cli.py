@@ -4,14 +4,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import shutil
 
 import numpy as np
 import pytest
 
 import lockcycle.series as ser
-from lockcycle import ValidationReport, parse_jhu_timeseries, read_long_csv, read_long_json
+from lockcycle import ValidationReport, read_long_csv, read_long_json
 from lockcycle.cli import _render, main
 
 
@@ -145,31 +144,20 @@ class TestFitCfr:
 
 
 class TestIngest:
-    def test_json_round_trip_matches_library(self, capsys, data_dir, tmp_path):
-        out_path = str(tmp_path / "israel.json")
-        rc, out, err = run(capsys, "ingest", "--out", out_path)
-        assert rc == 0
-        assert "ingested Israel" in out
-        back = read_long_json(out_path)
-        assert set(back) == set(ser.KINDS)
-
-        confirmed = parse_jhu_timeseries(
-            os.path.join(data_dir, "time_series_covid19_confirmed_global.csv"),
-            "Israel")
-        assert np.array_equal(back["confirmed_cumulative"].values, confirmed.values)
-        derived = ser.difference(confirmed)
-        got = back["new_cases"]
-        assert got.start_date == derived.start_date
-        assert np.array_equal(got.values, derived.values)
-
-    def test_csv_round_trip_is_lossless(self, capsys, tmp_path):
-        out_path = str(tmp_path / "israel.csv")
-        rc, out, err = run(capsys, "ingest", "--out", out_path)
-        assert rc == 0
-        csv_back = read_long_csv(out_path)
-        assert set(csv_back) == set(ser.KINDS)
-        assert csv_back["active_cases"].value_on(
-            __import__("datetime").date(2020, 10, 3)) == 71114.0
+    def test_out_files_read_back_as_the_derived_series(self, capsys, data_dir, tmp_path):
+        confirmed, deaths, recovered = ser.load_country(data_dir, "Israel")
+        derived = [confirmed, deaths, recovered, ser.difference(confirmed),
+                   ser.difference(deaths), ser.active_cases(confirmed, deaths, recovered)]
+        for suffix, read in ((".csv", read_long_csv), (".json", read_long_json)):
+            out_path = str(tmp_path / ("israel" + suffix))
+            rc, out, err = run(capsys, "ingest", "--out", out_path)
+            assert (rc, err) == (0, "")
+            assert "ingested Israel" in out
+            back = read(out_path)
+            assert set(back) == set(ser.KINDS)
+            for s in derived:
+                assert back[s.kind].start_date == s.start_date
+                assert np.array_equal(back[s.kind].values, s.values)
 
     def test_window_flags_cut_every_series(self, capsys):
         rc, out, err = run(capsys, "ingest", "--from", "2020-08-30",
@@ -225,6 +213,24 @@ class TestValidate:
         rc, out, err = run(capsys, "validate", "--data-dir", str(tmp_path))
         assert rc == 2
         assert "missing MANIFEST.json" in err
+
+    @pytest.mark.parametrize("manifest, problem", [
+        ("[]", 'MANIFEST.json has no "files" object'),
+        ('{"files": []}', 'MANIFEST.json has no "files" object'),
+        ('{"files": {}}', "MANIFEST.json does not list time_series_covid19_"),
+        ('{"files": {"time_series_covid19_confirmed_global.csv": {}}}',
+         "MANIFEST.json has no sha256 string for time_series_covid19_confirmed_global.csv"),
+        (json.dumps({"files": {name: {"sha256": 5} for name in ser.JHU_FILENAMES.values()}}),
+         "MANIFEST.json has no sha256 string for time_series_covid19_deaths_global.csv"),
+    ], ids=["array", "files-array", "files-empty", "no-sha256", "sha256-not-a-string"])
+    def test_malformed_manifest_is_rejected(self, capsys, data_dir, tmp_path, manifest, problem):
+        work = tmp_path / "data"
+        shutil.copytree(data_dir, work)
+        (work / "MANIFEST.json").write_text(manifest, encoding="utf-8")
+        rc, out, err = run(capsys, "validate", "--data-dir", str(work))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: snapshot rejected: ")
+        assert "snapshot rejected: %s" % problem in err
 
     def test_report_enforces_exact_arithmetic(self):
         import datetime as dt
@@ -541,6 +547,9 @@ class TestBadArguments:
         (("compare-costs", "--i0", "1e306", "--period", "200"), "i0=1e+306"),
         # alpha + beta overflows, so the balanced split would give t_open = 0
         (("schedule", "--alpha", "1e308", "--beta", "1e308", "--gamma", "1e308"), "alpha=1e+308"),
+        # the derived pair overflows; the message names the inputs given
+        (("schedule", "--r-open", "1e308", "--r-close", "0.5", "--gamma", "10"), "r_open=1e+308"),
+        (("schedule", "--alpha", "1e308", "--beta", "1e-11", "--gamma", "1e-10"), "alpha=1e+308"),
     ])
     def test_closed_form_leaving_the_float_range_exits_two(self, capsys, argv, field, fmt):
         rc, out, err = run(capsys, *argv, *fmt)

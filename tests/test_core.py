@@ -76,9 +76,13 @@ def test_non_finite_parameters_are_rejected(bad):
         for name in kwargs:
             with pytest.raises(ValueError, match="%s must be a finite number" % name):
                 build(**dict(kwargs, **{name: bad}))
-    # a finite input whose derived rate overflows is caught on the derived field
-    with pytest.raises(ValueError, match="alpha must be a finite number"):
+    # a finite input whose derived pair overflows is reported on the inputs given
+    with pytest.raises(ValueError, match=r"^the derived rate pair leaves the float range "
+                                         r"at gamma=1e\+300, r_open=1e\+300, r_close=0.5$"):
         StrategyParams.from_reproduction_numbers(1e300, 1e300, 0.5, 100.0, 10.0)
+    with pytest.raises(ValueError, match=r"^the derived reproduction-number pair leaves the "
+                                         r"float range at alpha=1e\+308, beta=1e-11, gamma=1e-10$"):
+        StrategyParams.from_growth_rates(1e308, 1e-11, 100.0, 10.0, gamma=1e-10)
 
 
 def test_decay_faster_than_removal_is_rejected():
@@ -162,11 +166,8 @@ def test_phase_lengths_full_shutdown_close():
 
 def test_schedule_constructors(baseline):
     oc = PhaseSchedule.open_close(baseline)
-    co = PhaseSchedule.close_open(baseline)
-    assert oc.phases[0].rt == baseline.r_open
-    assert co.phases[0].rt == baseline.r_close
+    assert [p.rt for p in oc.phases] == [baseline.r_open, baseline.r_close]
     assert oc.period == pytest.approx(54.0, rel=1e-12)
-    assert co.phases == oc.phases[::-1]
 
 
 def test_schedule_normalizes_tuples():
@@ -221,7 +222,8 @@ def test_trajectory_sampled_day31(baseline):
 
 
 def test_trajectory_close_open_trough(baseline):
-    traj = solve_trajectory(baseline.i0, PhaseSchedule.close_open(baseline), baseline.gamma)
+    co = swap_cycle(PhaseSchedule.open_close(baseline))
+    traj = solve_trajectory(baseline.i0, co, baseline.gamma)
     t_trough, trough = traj.phase_boundaries[1]
     assert t_trough == pytest.approx(22.990654205607473, rel=1e-12)
     assert trough == pytest.approx(5889.312456196982, rel=1e-12)
@@ -238,12 +240,27 @@ def test_trajectory_sampling_grid(baseline):
     assert np.all(np.diff(ragged.times) > 0)
 
 
+@pytest.mark.parametrize("period, sample_step, times", [
+    (1e-10, 1.0, [0.0, 1e-10]),
+    (1e-12, 1.0, [0.0, 1e-12]),
+    (9e-10, 5e-10, [0.0, 5e-10, 9e-10]),
+], ids=["1e-10", "1e-12", "step-below-1e-9"])
+def test_cycle_shorter_than_the_snap_tolerance_keeps_its_start(baseline, period, sample_step,
+                                                               times):
+    params = StrategyParams.from_growth_rates(baseline.alpha, baseline.beta, baseline.i0,
+                                              period, gamma=baseline.gamma)
+    traj = solve_trajectory(params.i0, PhaseSchedule.open_close(params), params.gamma,
+                            sample_step=sample_step)
+    assert traj.times.tolist() == times
+    assert traj.active[0] == params.i0
+
+
 def test_trajectory_segments_chain_exactly(baseline):
     traj = solve_trajectory(baseline.i0, PhaseSchedule.open_close(baseline), baseline.gamma)
     first, second = traj.segments
     assert first.end_value == second.start_value
     assert first.end_time == second.start_time
-    assert second.rt == baseline.r_close
+    assert second.rate == baseline.gamma * (baseline.r_close - 1.0)
 
 
 def test_flat_when_rt_is_one():

@@ -14,6 +14,7 @@ from lockcycle import (
     cost_ratio,
     new_cases_over_window,
     solve_trajectory,
+    swap_cycle,
 )
 
 import oracles
@@ -175,7 +176,8 @@ def test_cost_ratio_rejects_mismatched_reports():
 def test_auc_numeric_matches_closed_form(baseline):
     traj = solve_trajectory(baseline.i0, PhaseSchedule.open_close(baseline), baseline.gamma)
     assert auc_numeric(traj) == pytest.approx(cost_oc(*BASE).auc_active, rel=1e-10)
-    co_traj = solve_trajectory(baseline.i0, PhaseSchedule.close_open(baseline), baseline.gamma)
+    co_traj = solve_trajectory(baseline.i0, swap_cycle(PhaseSchedule.open_close(baseline)),
+                               baseline.gamma)
     assert auc_numeric(co_traj) == pytest.approx(cost_co(*BASE).auc_active, rel=1e-10)
 
 

@@ -7,6 +7,7 @@ active-case curve over the two cycles, and the fatality-kernel fit.
 
 import datetime as dt
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -72,6 +73,22 @@ def test_validate_rejects_a_cfr_outside_the_unit_interval(tmp_path, cfr):
     # checked before any file is read: tmp_path holds no snapshot
     with pytest.raises(ValueError, match=r"^cfr must be a finite fraction in \[0, 1\]"):
         validate(str(tmp_path), cfr)
+
+
+def test_validate_verifies_the_snapshot_before_reading_it(data_dir, tmp_path):
+    work = tmp_path / "data"
+    shutil.copytree(data_dir, work)
+    target = work / FILES["deaths"]
+    target.write_bytes(target.read_bytes() + b"tampered\n")
+    (work / FILES["recovered"]).unlink()
+    with pytest.raises(ValueError) as exc:
+        validate(str(work), 0.0085)
+    lines = str(exc.value).splitlines()
+    assert [line.split(":")[:2] for line in lines] == [
+        ["snapshot rejected", " checksum mismatch for %s" % FILES["deaths"]],
+        ["snapshot rejected", " missing data file %s" % FILES["recovered"]],
+    ]
+    assert validate(data_dir, 0.0085)[0].oc_cases == 188351.0
 
 
 def test_active_case_anchor_points(israel):

@@ -1,7 +1,7 @@
 """Ingestion, reshaping, and long-format round trips for dated daily series."""
 
+import argparse
 import datetime as dt
-import io
 import os
 
 import numpy as np
@@ -17,10 +17,9 @@ from lockcycle import (
     read_long_csv,
     read_long_json,
     window,
-    write_long_csv,
-    write_long_json,
 )
-from lockcycle.series import series_to_rows
+from lockcycle.cli import _csv_writer, _render
+from lockcycle.series import long_records, series_to_rows
 
 D = dt.date
 
@@ -152,6 +151,12 @@ class TestWideFormatParsing:
         p = wide_file(tmp_path, WIDE_HEADER + ",foo\n,X,0,0,1\n")
         with pytest.raises(ValueError, match="m/d/yy"):
             parse_jhu_timeseries(p, "X")
+
+    def test_impossible_date_column_names_file_and_column(self, tmp_path):
+        p = wide_file(tmp_path, WIDE_HEADER + ",13/22/20\n,X,0,0,1\n")
+        with pytest.raises(ValueError) as exc:
+            parse_jhu_timeseries(p, "X")
+        assert str(exc.value) == "%s: bad date column 5: '13/22/20' (expected m/d/yy)" % p
 
     def test_rejects_file_without_date_columns(self, tmp_path):
         p = wide_file(tmp_path, WIDE_HEADER + "\n,X,0,0\n")
@@ -315,7 +320,9 @@ class TestLongFormat:
     def test_csv_round_trip_is_lossless(self, tmp_path):
         cases, deaths = self.make_pair()
         path = str(tmp_path / "long.csv")
-        write_long_csv([cases, deaths], path)
+        rows = [tuple(r.values()) for r in long_records([cases, deaths])]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            _csv_writer(("date", "kind", "value"), rows)(fh)
         back = read_long_csv(path)
         assert set(back) == {"new_cases", "daily_deaths"}
         for original in (cases, deaths):
@@ -324,34 +331,15 @@ class TestLongFormat:
             # repr emission makes the float round trip exact
             assert np.array_equal(got.values, original.values)
 
-    def test_json_round_trip_is_lossless(self, tmp_path):
+    def test_json_round_trip_is_lossless(self, tmp_path, capsys):
         cases, deaths = self.make_pair()
         path = str(tmp_path / "long.json")
-        write_long_json([cases, deaths], path)
+        _render(argparse.Namespace(format=None, out=path), [], long_records([cases, deaths]), None)
         back = read_long_json(path)
         for original in (cases, deaths):
             got = back[original.kind]
             assert got.start_date == original.start_date
             assert np.array_equal(got.values, original.values)
-
-    def test_json_writer_rejects_nan_before_touching_dest(self, tmp_path):
-        bad = DailySeries(D(2020, 5, 1), [1.0, float("nan")], "new_cases")
-        path = tmp_path / "long.json"
-        with pytest.raises(ValueError):
-            write_long_json([bad], str(path))
-        assert not path.exists()
-        buf = io.StringIO()
-        with pytest.raises(ValueError):
-            write_long_json([bad], buf)
-        assert buf.getvalue() == ""
-
-    def test_writers_accept_open_streams(self):
-        cases, _ = self.make_pair()
-        buf = io.StringIO()
-        write_long_csv([cases], buf)
-        text = buf.getvalue()
-        assert text.startswith("date,kind,value\n")
-        assert "2020-05-01,new_cases,3.5" in text
 
     def test_read_back_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -383,3 +371,45 @@ class TestLongFormat:
                         "2020-05-03,new_cases,2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="contiguous daily run"):
             read_long_csv(str(path))
+
+    @pytest.mark.parametrize("body, problem", [
+        ("2020-05-01,new_cases\n", "line 2: 2 fields, expected 3"),
+        ("2020-05-01,new_cases,1.0,2.0\n", "line 2: 4 fields, expected 3"),
+        ("2020-05-01,new_cases,1.0\n2020-05-32,new_cases,2.0\n", "line 3: "),
+        ("2020-05-01,new_cases,many\n", "line 2: could not convert"),
+        ("2020-05-01,cases,1.0\n", "line 2: unknown series kind 'cases'"),
+        ("2020-05-01,new_cases,1.0\n2020-05-02,new_cases,%s\n" % ("9" * 200_000),
+         "line 3: field larger than field limit"),
+        ("2020-05-01,new_cases,1.0\n2020-05-02,new_\xffcases,2.0\n",
+         "'utf-8' codec can't decode byte 0xff in position 56"),
+    ], ids=["short-row", "long-row", "bad-date", "bad-value", "unknown-kind", "huge-field",
+            "not-utf-8"])
+    def test_csv_read_back_names_file_and_line_of_a_malformed_row(self, tmp_path, body, problem):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("date,kind,value\n" + body).encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            read_long_csv(str(path))
+        assert str(exc.value).startswith("%s: %s" % (path, problem))
+
+    @pytest.mark.parametrize("doc, problem", [
+        ('{"date": "2020-05-01", "kind": "new_cases", "value": 1}', "expected a JSON array"),
+        ('[{"date": "2020-05-01", "kind": "new_cases"}]',
+         "record 0 is not a {date, kind, value} object"),
+        ('[{"date": "2020-05-01", "kind": "new_cases", "value": 1}, 7]',
+         "record 1 is not a {date, kind, value} object"),
+        ('[{"date": 20200501, "kind": "new_cases", "value": 1}]', "record 0: "),
+        ('[{"date": "2020-05-01", "kind": "new_cases", "value": null}]', "record 0: "),
+        ('[{"date": "2020-05-01", "kind": ["new_cases"], "value": 1}]',
+         "record 0: unknown series kind"),
+        ('[{"date": "2020-05-01", ', "Expecting"),
+        ('[{"date": "2020-05-01", "kind": "new_\xffcases", "value": 1}]',
+         "'utf-8' codec can't decode byte 0xff in position 37"),
+    ], ids=["not-an-array", "no-value", "not-an-object", "date-not-a-string", "value-null",
+            "kind-not-a-string", "truncated", "not-utf-8"])
+    def test_json_read_back_names_file_and_record_of_a_malformed_document(self, tmp_path,
+                                                                           doc, problem):
+        path = tmp_path / "bad.json"
+        path.write_bytes(doc.encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            read_long_json(str(path))
+        assert str(exc.value).startswith("%s: %s" % (path, problem))
