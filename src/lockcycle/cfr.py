@@ -14,9 +14,13 @@ decay a the scale b is the closed-form least-squares solution, leaving the
 one-dimensional profile SSE(a) = |d|^2 - (d.s)^2/(s.s) for each delay.  The
 recursion starts from zero state, so the state for delay k is the zero-delay
 state shifted by k days and one filter pass per decay serves every delay.  A
-50-point grid scan on (0, 1) brackets each delay's minimum, safeguarded
-Newton steps on the profile's slope refine all delays in lock step, and the
-integer delay k with the smallest residual wins.
+50-point grid scan on (0, 1) brackets each delay's minimum, and a second pass
+over the same grid gives the profile's slope at every grid decay, so the
+bracket ends need no filter pass of their own except on a search edge.
+Safeguarded Newton steps on the profile's slope refine all delays in lock
+step, and the integer delay k with the smallest residual wins.  Each
+evaluation builds its block power matrices once and runs every filter pass
+it needs on them.
 """
 
 from __future__ import annotations
@@ -88,25 +92,33 @@ def _lower_powers(a: np.ndarray, size: int) -> np.ndarray:
     return sliding_window_view(ramp, size, axis=-1)[..., ::-1, :]
 
 
-def _one_pole(x, a) -> np.ndarray:
+def _pole(a, t: int):
+    """(inner, outer, carry) power tables of decays a for _one_pole over t
+    days; passes that share decays and a length share one set."""
+    a = np.asarray(a, dtype=float)
+    blocks = max(1, -(-t // _BLOCK))
+    return (_lower_powers(a, _BLOCK), _lower_powers(a ** _BLOCK, blocks),
+            a[..., None] ** np.arange(1, _BLOCK + 1))
+
+
+def _one_pole(x, pole) -> np.ndarray:
     """s(t) = a*s(t-1) + x(t) along the last axis of x, from zero state.
 
-    a is a decay or an array of decays broadcasting against the leading axes
-    of x; the result has their broadcast shape plus the time axis.  Within a
-    block of _BLOCK days the recursion is one matrix product with the
-    lower-triangular powers of a.  The states at the block ends follow the
-    same recursion over blocks with decay a**_BLOCK, and each decays into
-    the next block as a**(i+1).
+    pole is _pole(a, t) for the t days of x.  a is a decay or an array of
+    decays broadcasting against the leading axes of x; the result has their
+    broadcast shape plus the time axis.  Within a block of _BLOCK days the
+    recursion is one matrix product with the lower-triangular powers of a.
+    The states at the block ends follow the same recursion over blocks with
+    decay a**_BLOCK, and each decays into the next block as a**(i+1).
     """
     x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
     t = x.shape[-1]
-    blocks = max(1, -(-t // _BLOCK))
+    inner, outer, carry = pole
+    blocks = outer.shape[-1]
     padded = np.zeros(x.shape[:-1] + (blocks * _BLOCK,))
     padded[..., :t] = x
-    y = padded.reshape(x.shape[:-1] + (blocks, _BLOCK)) @ _lower_powers(a, _BLOCK)
-    ends = (y[..., None, :, -1] @ _lower_powers(a ** _BLOCK, blocks))[..., 0, :]
-    carry = a[..., None] ** np.arange(1, _BLOCK + 1)
+    y = padded.reshape(x.shape[:-1] + (blocks, _BLOCK)) @ inner
+    ends = (y[..., None, :, -1] @ outer)[..., 0, :]
     y[..., 1:, :] += ends[..., :-1, None] * carry[..., None, :]
     # contiguous, so later matrix products on it stay on the BLAS path
     return np.ascontiguousarray(y.reshape(y.shape[:-2] + (-1,))[..., :t])
@@ -115,7 +127,7 @@ def _one_pole(x, a) -> np.ndarray:
 def _state(values: np.ndarray, a, k: int) -> np.ndarray:
     # s_k(t) = s_0(t-k): the recursion is linear, time-invariant and starts
     # from zero, so every delay shares the zero-delay state
-    return _delayed(_one_pole(values, a), k)
+    return _delayed(_one_pole(values, _pole(a, len(values))), k)
 
 
 def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
@@ -157,9 +169,10 @@ def _profile_slopes(cases, ahead, mask, a):
     derivative states are the same filter again: ds/da(t) = a*ds/da(t-1) +
     s(t-1) and d2s/da2(t) = a*d2s/da2(t-1) + 2*ds/da(t-1).
     """
-    s = _one_pole(cases, a) * mask
-    s1 = _one_pole(_delayed(s, 1), a) * mask
-    s2 = 2.0 * _one_pole(_delayed(s1, 1), a) * mask
+    pole = _pole(a, len(cases))
+    s = _one_pole(cases, pole) * mask
+    s1 = _one_pole(_delayed(s, 1), pole) * mask
+    s2 = 2.0 * _one_pole(_delayed(s1, 1), pole) * mask
     b, q = _best_scale(s, ahead)
     r = ahead - b[:, None] * s
     rs1 = _rowdot(r, s1)
@@ -169,6 +182,27 @@ def _profile_slopes(cases, ahead, mask, a):
     return slope, curvature
 
 
+def _grid_profiles(cases, ahead, ks):
+    """Explained square (d.s)^2/(s.s) and profile slope of every delay in ks
+    (columns) at every decay of _GRID (rows).
+
+    One filter pass gives the grid states s and a second on the same powers
+    their a-derivative ds; with b = (d.s)/(s.s) the slope is
+    -2b(d.ds - b s.ds), and both are 0 where b is not positive.
+    """
+    end = len(cases) - 1 - ks  # the last state day with a death k days on
+    pole = _pole(_GRID, len(cases))
+    states = _one_pole(cases, pole)
+    ds = _one_pole(_delayed(states, 1), pole)
+    p = states @ ahead.T
+    q = np.cumsum(states * states, axis=1)[:, end]
+    fits = (p > 0.0) & (q > 0.0)
+    explained = np.divide(p * p, q, out=np.zeros_like(p), where=fits)
+    b = np.divide(p, q, out=np.zeros_like(p), where=fits)
+    slopes = -2.0 * b * (ds @ ahead.T - b * np.cumsum(states * ds, axis=1)[:, end])
+    return explained, slopes
+
+
 def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     """Best (a, b, sse) arrays, one entry per delay in ks.
 
@@ -176,27 +210,34 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     deaths k_j days after each state day and `mask` the state days that have
     one.  A 50-point grid scan over (0, 1) brackets each delay's profile
     minimum; a minimum whose bracket end already has an outward slope sits
-    on that end.  The other delays take Newton steps on the profile slope
-    together, each falling back to bisection whenever its step would leave
-    its bracket or its profile is not convex there, until every step is
-    below _STEP_TOL.
+    on that end.  A bracket end on the grid reads its slope from the grid
+    scan's table.  The search edges 0 and _TOP are not grid decays, so only
+    the delays bracketed there evaluate the slope at the edge, in the
+    residual form -2b(r.ds): at an exact fit with a = 0 the table's form
+    cancels to a slope of the wrong sign.  The other delays take Newton
+    steps on the profile slope together, each falling back to bisection
+    whenever its step would leave its bracket or its profile is not convex
+    there, until every step is below _STEP_TOL.
     """
     t = len(cases)
     days = np.arange(t)
     mask = (days < t - ks[:, None]).astype(float)
     ahead = np.where(mask > 0.0, deaths[np.minimum(days + ks[:, None], t - 1)], 0.0)
 
-    states = _one_pole(cases, _GRID)
-    p = states @ ahead.T
-    q = np.cumsum(states * states, axis=1)[:, t - 1 - ks]
-    explained = np.divide(p * p, q, out=np.zeros_like(p), where=(p > 0.0) & (q > 0.0))
+    explained, slopes = _grid_profiles(cases, ahead, ks)
     j = np.argmax(explained, axis=0)
     edges = np.concatenate([[0.0], _GRID, [_TOP]])
     lo, hi = edges[j], edges[j + 2]
 
-    ends, _ = _profile_slopes(cases, np.vstack([ahead, ahead]), np.vstack([mask, mask]),
-                              np.concatenate([lo, hi]))
-    slope_lo, slope_hi = ends[:len(ks)], ends[len(ks):]
+    cols = np.arange(len(ks))
+    slope_lo = slopes[np.maximum(j - 1, 0), cols]
+    slope_hi = slopes[np.minimum(j + 1, len(_GRID) - 1), cols]
+    first, last = np.flatnonzero(j == 0), np.flatnonzero(j == len(_GRID) - 1)
+    if first.size + last.size:  # _one_pole takes no empty batch
+        at = np.concatenate([first, last])
+        ends, _ = _profile_slopes(cases, ahead[at], mask[at],
+                                  np.concatenate([lo[first], hi[last]]))
+        slope_lo[first], slope_hi[last] = ends[:first.size], ends[first.size:]
     a = np.where(slope_lo >= 0.0, lo, np.where(slope_hi <= 0.0, hi, _GRID[j]))
     rows = np.flatnonzero((slope_lo < 0.0) & (slope_hi > 0.0))
     for _ in range(_MAX_STEPS):
@@ -214,7 +255,7 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
         a[rows] = step = np.where(usable, newton, 0.5 * (lo_x + hi_x))
         rows = rows[np.abs(step - x) > _STEP_TOL]
 
-    states = _one_pole(cases, a) * mask
+    states = _one_pole(cases, _pole(a, t)) * mask
     b, _ = _best_scale(states, ahead)
     resid = ahead - b[:, None] * states
     # deaths before the delay face a zero prediction
@@ -295,8 +336,9 @@ def parameter_cvs(cases: np.ndarray, deaths: np.ndarray, k: int, a: float, b: fl
     t = len(cases)
     if t - 2 <= 0:
         return None, None
-    s = _state(cases, a, k)
-    ds_da = _one_pole(_delayed(s, 1), a)
+    pole = _pole(a, t)
+    s = _delayed(_one_pole(cases, pole), k)
+    ds_da = _one_pole(_delayed(s, 1), pole)
     col_a = b * ds_da
     col_b = s
     g11 = float(np.dot(col_a, col_a))

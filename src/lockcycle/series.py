@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,21 @@ class DailySeries:
         return float(self.values[self.index_of(day)])
 
 
+# m/d/yy or m/d/yyyy in ASCII digits, with blanks around it only: int()
+# alone would also take signs, inner blanks and non-ASCII digits.  A
+# four-digit year is taken as written, so it starts at 1000
+_MDY = re.compile(r"\s*([0-9]{1,2})/([0-9]{1,2})/([0-9]{2}|[1-9][0-9]{3})\s*")
+
+
 def _parse_mdy(token: str, path: str, column: int) -> dt.date:
-    try:
-        m, d, y = (int(part) for part in token.strip().split("/"))
-        return dt.date(y + 2000 if y < 100 else y, m, d)
-    except ValueError:  # wrong part count, a non-integer part or no such day
-        raise ValueError("%s: bad date column %d: %r (expected m/d/yy)"
-                         % (path, column, token)) from None
+    match = _MDY.fullmatch(token)
+    if match:
+        y = int(match[3])
+        try:
+            return dt.date(y + 2000 if y < 100 else y, int(match[1]), int(match[2]))
+        except ValueError:  # no such day
+            pass
+    raise ValueError("%s: bad date column %d: %r (expected m/d/yy)" % (path, column, token))
 
 
 def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",

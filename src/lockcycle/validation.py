@@ -12,7 +12,6 @@ which confirms that a snapshot directory still matches its MANIFEST.json.
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 import json
 import math
 import os
@@ -95,6 +94,8 @@ def verify_checksums(data_dir):
     The manifest must list each of the JHU_FILENAMES with a sha256 string.
     Returns a list of problem strings; empty means the snapshot is intact.
     """
+    import hashlib  # here, so commands that verify no snapshot never load it
+
     manifest_path = os.path.join(data_dir, "MANIFEST.json")
     if not os.path.exists(manifest_path):
         return ["missing MANIFEST.json in %s" % data_dir]

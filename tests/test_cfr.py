@@ -1,11 +1,15 @@
 import datetime as dt
 import math
+import os
 
 import numpy as np
 import pytest
 
+import lockcycle.series as ser
 from lockcycle import CfrModel, DailySeries, fit_cfr, predict_deaths
-from lockcycle.cfr import _delayed, _one_pole, _profile_slopes, parameter_cvs
+from lockcycle.cfr import (_GRID, _TOP, _delayed, _fit_decays, _grid_profiles, _one_pole,
+                           _pole, _profile_slopes, parameter_cvs)
+from lockcycle.validation import FIT_FROM, FIT_TO
 
 import oracles
 
@@ -28,6 +32,26 @@ def smooth_case_curve(days, rng=None):
     if rng is not None:
         curve *= np.exp(rng.normal(0.0, 0.05, days))
     return curve
+
+
+def rows_ahead(deaths, ks):
+    # row r: the deaths ks[r] days after each state day, and which days have one
+    t = len(deaths)
+    ahead, mask = np.zeros((len(ks), t)), np.zeros((len(ks), t))
+    for r, k in enumerate(ks):
+        ahead[r, :t - k] = deaths[k:]
+        mask[r, :t - k] = 1.0
+    return ahead, mask
+
+
+def israel_window(data_dir):
+    # the fit's default inputs: the validation window, smoothed over 7 days
+    confirmed, deaths = (ser.parse_jhu_timeseries(os.path.join(data_dir, ser.JHU_FILENAMES[kind]),
+                                                  "Israel", kind)
+                         for kind in ("confirmed_cumulative", "deaths_cumulative"))
+    smoothed = (ser.moving_average(ser.window(ser.difference(c), FIT_FROM, FIT_TO), 7)
+                for c in (confirmed, deaths))
+    return ser.overlap(*smoothed)[1]
 
 
 # --- model type ----------------------------------------------------------------
@@ -90,6 +114,11 @@ def test_predict_short_series_is_empty():
 
 # --- filter ---------------------------------------------------------------------
 
+def one_pole(x, a):
+    # one filter pass with its own power tables
+    return _one_pole(x, _pole(a, np.shape(x)[-1]))
+
+
 DECAYS = [0.0, 0.5, 0.943, 0.999999]
 
 
@@ -100,12 +129,12 @@ def test_one_pole_matches_direct_convolution(days):
     rng = np.random.default_rng(days)
     cases = rng.uniform(0.0, 300.0, days)
     rows = rng.uniform(0.0, 300.0, (len(DECAYS), days))
-    shared = _one_pole(cases, DECAYS)
-    batched = _one_pole(rows, DECAYS)
+    shared = one_pole(cases, DECAYS)
+    batched = one_pole(rows, DECAYS)
     assert shared.shape == batched.shape == (len(DECAYS), days)
     for i, a in enumerate(DECAYS):
         expected = oracles.convolve_direct(cases, 0, a, 1.0)
-        np.testing.assert_allclose(_one_pole(cases, a), expected, rtol=1e-13)
+        np.testing.assert_allclose(one_pole(cases, a), expected, rtol=1e-13)
         np.testing.assert_allclose(shared[i], expected, rtol=1e-13)
         np.testing.assert_allclose(batched[i], oracles.convolve_direct(rows[i], 0, a, 1.0),
                                    rtol=1e-13)
@@ -116,8 +145,8 @@ def test_one_pole_decay_derivative_matches_central_difference():
     cases = rng.uniform(0.0, 300.0, 101)
     h = 1e-6
     for a in DECAYS:
-        ds_da = _one_pole(_delayed(_one_pole(cases, a), 1), a)
-        central = (_one_pole(cases, a + h) - _one_pole(cases, a - h)) / (2.0 * h)
+        ds_da = one_pole(_delayed(one_pole(cases, a), 1), a)
+        central = (one_pole(cases, a + h) - one_pole(cases, a - h)) / (2.0 * h)
         np.testing.assert_allclose(ds_da, central, rtol=1e-6)
 
 
@@ -128,7 +157,7 @@ def test_profile_slopes_match_central_differences():
     ahead, mask = deaths[None, :], np.ones((1, 150))
 
     def profile(a):
-        s = _one_pole(cases, a)
+        s = one_pole(cases, a)
         return float(deaths @ deaths - (deaths @ s) ** 2 / (s @ s))
 
     h = 1e-5
@@ -137,6 +166,50 @@ def test_profile_slopes_match_central_differences():
         assert slope[0] == pytest.approx((profile(a + h) - profile(a - h)) / (2.0 * h), rel=1e-5)
         second = (profile(a + h) - 2.0 * profile(a) + profile(a - h)) / h ** 2
         assert curvature[0] == pytest.approx(second, rel=1e-3)
+
+
+@pytest.mark.parametrize("source", ["israel", "noisy"])
+def test_grid_slope_table_matches_profile_slopes(source, data_dir):
+    if source == "israel":
+        cases, deaths = israel_window(data_dir)
+    else:
+        rng = np.random.default_rng(3)
+        cases = smooth_case_curve(150, rng)
+        deaths = oracles.convolve_direct(cases, 6, 0.85, 0.002) * np.exp(rng.normal(0.0, 0.15, 150))
+    ks = np.arange(0, 31)
+    ahead, mask = rows_ahead(deaths, ks)
+    _, table = _grid_profiles(cases, ahead, ks)
+    for i, a in enumerate(_GRID):
+        slope, _ = _profile_slopes(cases, ahead, mask, np.full(len(ks), a))
+        # the table's form -2b(d.ds - b s.ds) subtracts terms of size
+        # 2b(d.ds): a slope under 1e-9 of that keeps too few digits to
+        # compare, but the bracket test still reads its sign
+        s = one_pole(cases, a) * mask
+        ds = one_pole(_delayed(s, 1), a) * mask
+        b = np.sum(ahead * s, axis=1) / np.sum(s * s, axis=1)
+        keep = np.abs(slope) >= 1e-9 * np.abs(2.0 * b * np.sum(ahead * ds, axis=1))
+        np.testing.assert_allclose(table[i, keep], slope[keep], rtol=1e-9)
+        np.testing.assert_array_equal(np.sign(table[i, ~keep]), np.sign(slope[~keep]))
+
+
+@pytest.mark.parametrize("decay, k, cell", [(0.012, 4, 0), (0.99, 2, len(_GRID) - 1)])
+def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, cell):
+    # noisy data; the bracket of such a minimum has one end on a search
+    # edge, 0 or _TOP, whose slope is evaluated apart from the grid table
+    rng = np.random.default_rng(0)
+    cases = smooth_case_curve(150, rng)
+    deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.05, 150))
+    ks = np.arange(0, 9)
+    explained, _ = _grid_profiles(cases, rows_ahead(deaths, ks)[0], ks)
+    a, b, _ = _fit_decays(cases, deaths, ks)
+    lo, hi = (0.0, _GRID[1]) if cell == 0 else (_GRID[-2], _TOP)
+    # every delay whose minimum lies inside that cell, off the edge itself
+    inside = np.flatnonzero((np.argmax(explained, axis=0) == cell) & (a > 0.0) & (a < _TOP))
+    assert (k in ks[inside]) and (cell == 0 or inside.size == len(ks))
+    for r in inside:
+        a_ref, b_ref = oracles.profile_optimum(list(cases), list(deaths), int(ks[r]), lo, hi)
+        assert abs(a[r] - a_ref) <= 1e-9
+        assert b[r] == pytest.approx(b_ref, rel=1e-6)
 
 
 # --- fitting ---------------------------------------------------------------------

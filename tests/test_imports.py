@@ -47,6 +47,15 @@ def test_closed_form_commands_never_load_numpy(command, fmt):
     assert loaded(("numpy",), setup) == []
 
 
+@pytest.mark.parametrize("command", ["schedule", "compare-costs"])
+def test_closed_form_commands_never_load_hashlib(command):
+    # only the snapshot checksums need it
+    setup = ("import contextlib, io\nfrom lockcycle.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert main(%r) == 0" % [command])
+    assert loaded(("hashlib", "_hashlib"), setup) == []
+
+
 def test_cli_import_registers_every_layer():
     # A tracer that wraps each layer's __all__ functions reads the layers
     # from sys.modules right after importing lockcycle.cli.

@@ -158,6 +158,18 @@ class TestWideFormatParsing:
             parse_jhu_timeseries(p, "X")
         assert str(exc.value) == "%s: bad date column 5: '13/22/20' (expected m/d/yy)" % p
 
+    @pytest.mark.parametrize("token", ["1/22/-5", " 1/ 22/ +20", "1/22/020", "1/22/0020",
+                                       "1/22/\uff12\uff10"])
+    def test_date_column_parts_must_be_plain_digits(self, tmp_path, token):
+        p = wide_file(tmp_path, WIDE_HEADER + ",%s\n,X,0,0,1\n" % token)
+        with pytest.raises(ValueError) as exc:
+            parse_jhu_timeseries(p, "X")
+        assert str(exc.value) == "%s: bad date column 5: %r (expected m/d/yy)" % (p, token)
+
+    def test_accepts_four_digit_year(self, tmp_path):
+        p = wide_file(tmp_path, WIDE_HEADER + ",1/22/2020\n,X,0,0,1\n")
+        assert parse_jhu_timeseries(p, "X").start_date == D(2020, 1, 22)
+
     def test_rejects_file_without_date_columns(self, tmp_path):
         p = wide_file(tmp_path, WIDE_HEADER + "\n,X,0,0\n")
         with pytest.raises(ValueError, match="no date columns"):
