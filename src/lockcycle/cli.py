@@ -154,8 +154,8 @@ def _render(args, human, payload, write_csv) -> None:
 
 def cmd_schedule(args) -> int:
     params = _resolve_params(args)
-    t_open, t_close = core.phase_lengths(params)
     sched = core.PhaseSchedule.open_close(params)
+    t_open, t_close = (p.duration for p in sched.phases)
     payload = {
         "order": "open-close",
         "gamma": params.gamma,

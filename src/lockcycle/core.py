@@ -23,7 +23,6 @@ __all__ = [
     "StrategyParams",
     "Phase",
     "PhaseSchedule",
-    "Segment",
     "Trajectory",
     "phase_lengths",
     "average_rt",
@@ -165,39 +164,21 @@ class PhaseSchedule:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One exponential arc of a solved trajectory."""
-
-    start_time: float
-    duration: float
-    rate: float        # net rate gamma*(rt - 1), 1/day
-    start_value: float
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
-    @property
-    def end_value(self) -> float:
-        try:
-            return self.start_value * math.exp(self.rate * self.duration)
-        except OverflowError:  # past the float range, which solve_trajectory rejects
-            return math.inf
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Sampled active-case curve plus the exact per-phase structure.
+    """Sampled active-case curve plus its exact phase edges.
 
-    times/active are the sampled grid.  segments holds the exact exponential
-    arcs, chained from the start value by sequential closed-form products,
-    so downstream integrals and invariant checks do not depend on the
-    sampling step.  Arrays are frozen after construction.
+    times/active are the sampled grid.  phase_boundaries holds the exact
+    (time, value) pairs at the start and at every phase edge, chained from the
+    start value by sequential closed-form products, and rates the net rate
+    gamma*(rt - 1) of each phase between them, so downstream integrals and
+    invariant checks do not depend on the sampling step.  Arrays are frozen
+    after construction.
     """
 
     times: np.ndarray
     active: np.ndarray
-    segments: tuple
+    phase_boundaries: tuple
+    rates: tuple
 
     def __post_init__(self):
         import numpy as np
@@ -208,13 +189,6 @@ class Trajectory:
         active.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "active", active)
-
-    @property
-    def phase_boundaries(self) -> tuple:
-        """Exact (time, value) pairs at the start and at every phase edge."""
-        first = self.segments[0]
-        return ((first.start_time, first.start_value),
-                *((s.end_time, s.end_value) for s in self.segments))
 
 
 def phase_lengths(params: StrategyParams):
@@ -252,21 +226,24 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     _require_positive(i0=i0, gamma=gamma, sample_step=sample_step)
     import numpy as np
 
-    segments = []
-    t, val = 0.0, float(i0)
-    for ph in schedule.phases:
-        rate = gamma * (ph.rt - 1.0)
-        segments.append(Segment(t, ph.duration, rate, val))
-        t, val = segments[-1].end_time, segments[-1].end_value
-    total = t
+    rates = tuple(gamma * (ph.rt - 1.0) for ph in schedule.phases)
+    edges = [(0.0, float(i0))]
+    for ph, rate in zip(schedule.phases, rates):
+        t, val = edges[-1]
+        try:
+            val *= math.exp(rate * ph.duration)
+        except OverflowError:  # past the float range, which is rejected below
+            val = math.inf
+        edges.append((t + ph.duration, val))
+    total = edges[-1][0]
 
     n_steps = total / sample_step + 1e-9
     if not n_steps < MAX_SAMPLES - 1:  # n_steps + 1 samples, plus the cycle end
         raise ValueError("sample_step=%g would take %.3g samples over %g days, more than "
                          "MAX_SAMPLES=%d" % (sample_step, n_steps + 1, total, MAX_SAMPLES))
     n_steps = int(n_steps)
-    # each arc is monotone, so its end values bound every sample on it
-    _require_in_range("the active-case curve", [s.end_value for s in segments],
+    # each arc is monotone, so the edge values bound every sample on it
+    _require_in_range("the active-case curve", [v for _, v in edges],
                       i0=i0, gamma=gamma, period=total)
     times = np.arange(n_steps + 1, dtype=float) * sample_step
     if n_steps and total - times[-1] <= 1e-9 * sample_step:
@@ -274,13 +251,11 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     else:  # the t=0 sample stays even on a cycle shorter than the snap tolerance
         times = np.append(times, total)
 
-    starts = np.array([s.start_time for s in segments])
-    rates = np.array([s.rate for s in segments])
-    values = np.array([s.start_value for s in segments])
-    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(segments) - 1)
-    active = values[idx] * np.exp(rates[idx] * (times - starts[idx]))
+    starts, values = np.array(edges[:-1]).T
+    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(rates) - 1)
+    active = values[idx] * np.exp(np.array(rates)[idx] * (times - starts[idx]))
 
-    return Trajectory(times, active, tuple(segments))
+    return Trajectory(times, active, tuple(edges), rates)
 
 
 def swap_cycle(schedule: PhaseSchedule) -> PhaseSchedule:

@@ -22,7 +22,6 @@ __all__ = [
     "cost_const",
     "cost_ratio",
     "auc_numeric",
-    "auc_trapezoid",
     "new_cases_over_window",
 ]
 
@@ -122,37 +121,26 @@ def cost_ratio(oc: CostReport, co: CostReport) -> float:
     return ratio
 
 
-def auc_trapezoid(times, values) -> float:
-    """Trapezoidal area for empirical samples (half-weight endpoints)."""
+def auc_numeric(traj) -> float:
+    """Area under an active-case curve.
+
+    Solved trajectories integrate each exponential arc between consecutive
+    phase edges exactly: (I_end - I_start)/rate, or I*duration where the rate
+    is zero.  Empirical samples, given as matching one-dimensional (times,
+    values) arrays of at least two samples, take the trapezoid rule.
+    """
+    if isinstance(traj, Trajectory):
+        edges = traj.phase_boundaries
+        return math.fsum(v0 * (t1 - t0) if rate == 0.0 else (v1 - v0) / rate
+                         for (t0, v0), (t1, v1), rate in zip(edges, edges[1:], traj.rates))
     import numpy as np
 
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    times, values = (np.asarray(a, dtype=float) for a in traj)
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be matching one-dimensional arrays")
     if len(times) < 2:
         raise ValueError("need at least two samples")
     return float(np.trapezoid(values, times))
-
-
-def auc_numeric(traj) -> float:
-    """Area under an active-case curve.
-
-    Solved trajectories integrate each exponential arc exactly:
-    (I_end - I_start)/rate per segment, or I*duration where the rate is zero.
-    Empirical samples, given as a (times, values) pair, fall back to the
-    trapezoid rule.
-    """
-    if isinstance(traj, Trajectory):
-        parts = []
-        for seg in traj.segments:
-            if seg.rate == 0.0:
-                parts.append(seg.start_value * seg.duration)
-            else:
-                parts.append((seg.end_value - seg.start_value) / seg.rate)
-        return math.fsum(parts)
-    times, values = traj
-    return auc_trapezoid(times, values)
 
 
 def _endpoints(traj):

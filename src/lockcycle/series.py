@@ -95,14 +95,11 @@ class DailySeries:
     def dates(self):
         return [self.start_date + dt.timedelta(days=i) for i in range(len(self.values))]
 
-    def index_of(self, day: dt.date) -> int:
+    def value_on(self, day: dt.date) -> float:
         i = (day - self.start_date).days
         if not 0 <= i < len(self.values):
             raise ValueError("date %s outside series range %s..%s" % (day, self.start_date, self.end_date))
-        return i
-
-    def value_on(self, day: dt.date) -> float:
-        return float(self.values[self.index_of(day)])
+        return float(self.values[i])
 
 
 # m/d/yy or m/d/yyyy in ASCII digits, with blanks around it only: int()

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import lockcycle.series as ser
-from lockcycle import CfrModel, DailySeries, fit_cfr, predict_deaths
+from lockcycle.cfr import CfrModel, fit as fit_cfr, predict_deaths
 from lockcycle.cfr import (_GRID, _TOP, _delayed, _fit_decays, _grid_profiles, _one_pole,
                            _pole, _profile_slopes, parameter_cvs)
+from lockcycle.series import DailySeries
 from lockcycle.validation import FIT_FROM, FIT_TO
 
 import oracles
@@ -168,6 +169,14 @@ def test_profile_slopes_match_central_differences():
         assert curvature[0] == pytest.approx(second, rel=1e-3)
 
 
+@pytest.mark.parametrize("days", [20, 101])
+def test_profile_slopes_take_an_empty_batch(days):
+    cases = np.random.default_rng(days).uniform(0.0, 300.0, days)
+    ahead, mask = rows_ahead(cases, [0, 3])
+    slope, curvature = _profile_slopes(cases, ahead[:0], mask[:0], np.zeros(0))
+    assert slope.shape == curvature.shape == (0,)
+
+
 @pytest.mark.parametrize("source", ["israel", "noisy"])
 def test_grid_slope_table_matches_profile_slopes(source, data_dir):
     if source == "israel":
@@ -256,7 +265,7 @@ def test_fit_reports_residual_and_prediction():
     fitted = model.fitted_deaths
     assert fitted.kind == "daily_deaths"
     # residual bookkeeping is consistent with the returned prediction
-    from lockcycle import moving_average
+    from lockcycle.series import moving_average
     deaths_s = moving_average(make_deaths(deaths), 7)
     aligned = deaths_s.values[(fitted.start_date - deaths_s.start_date).days:]
     sse = float(np.sum((np.asarray(fitted.values) - aligned[:len(fitted)]) ** 2))

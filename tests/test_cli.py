@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import lockcycle.series as ser
-from lockcycle import ValidationReport, read_long_csv, read_long_json
+from lockcycle.series import read_long_csv, read_long_json
+from lockcycle.validation import ValidationReport
 from lockcycle.cli import _render, main
 
 

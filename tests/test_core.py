@@ -255,12 +255,14 @@ def test_cycle_shorter_than_the_snap_tolerance_keeps_its_start(baseline, period,
     assert traj.active[0] == params.i0
 
 
-def test_trajectory_segments_chain_exactly(baseline):
+def test_trajectory_edges_chain_exactly(baseline):
     traj = solve_trajectory(baseline.i0, PhaseSchedule.open_close(baseline), baseline.gamma)
-    first, second = traj.segments
-    assert first.end_value == second.start_value
-    assert first.end_time == second.start_time
-    assert second.rate == baseline.gamma * (baseline.r_close - 1.0)
+    t_open, t_close = phase_lengths(baseline)
+    assert traj.rates == (baseline.gamma * (baseline.r_open - 1.0),
+                          baseline.gamma * (baseline.r_close - 1.0))
+    peak = baseline.i0 * math.exp(traj.rates[0] * t_open)
+    assert traj.phase_boundaries == ((0.0, baseline.i0), (t_open, peak),
+                                     (t_open + t_close, peak * math.exp(traj.rates[1] * t_close)))
 
 
 def test_flat_when_rt_is_one():
@@ -319,12 +321,16 @@ def test_balanced_split_leaving_the_float_range_is_rejected():
         PhaseSchedule.open_close(params)
 
 
-def test_phase_boundaries_are_the_segment_edges(baseline):
-    traj = solve_trajectory(baseline.i0, PhaseSchedule.open_close(baseline), baseline.gamma)
-    first, second = traj.segments
-    assert traj.phase_boundaries == ((0.0, baseline.i0),
-                                     (first.end_time, first.end_value),
-                                     (second.end_time, second.end_value))
+def test_phase_boundaries_are_the_sequential_closed_form_chain():
+    phases = ((1.8, 7.5), (0.4, 11.0), (1.0, 3.25), (0.0, 2.0))
+    gamma = 0.12
+    traj = solve_trajectory(300.0, PhaseSchedule(phases), gamma)
+    t, value, expected = 0.0, 300.0, [(0.0, 300.0)]
+    for rt, duration in phases:
+        t, value = t + duration, value * math.exp(gamma * (rt - 1.0) * duration)
+        expected.append((t, value))
+    assert traj.phase_boundaries == tuple(expected)
+    assert traj.rates == tuple(gamma * (rt - 1.0) for rt, _ in phases)
 
 
 def test_trajectory_arrays_are_frozen(baseline):

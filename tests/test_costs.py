@@ -7,7 +7,6 @@ from lockcycle import (
     PhaseSchedule,
     StrategyParams,
     auc_numeric,
-    auc_trapezoid,
     cost_co,
     cost_const,
     cost_oc,
@@ -188,11 +187,17 @@ def test_auc_numeric_constant_and_decay():
     assert auc_numeric(decay) == pytest.approx(632.1205588285576, rel=1e-12)
 
 
-def test_auc_trapezoid_and_dispatch():
+def test_auc_numeric_of_samples_is_the_trapezoid_rule():
     times = np.array([0.0, 1.0, 2.0, 3.0])
     values = np.array([1.0, 3.0, 5.0, 7.0])
-    assert auc_trapezoid(times, values) == pytest.approx(12.0, rel=1e-15)
     assert auc_numeric((times, values)) == pytest.approx(12.0, rel=1e-15)
+    assert auc_numeric(([0.0, 2.0], [4.0, 6.0])) == 10.0
+    with pytest.raises(ValueError, match="matching one-dimensional arrays"):
+        auc_numeric((times, values[:3]))
+    with pytest.raises(ValueError, match="matching one-dimensional arrays"):
+        auc_numeric((times[None, :], values[None, :]))
+    with pytest.raises(ValueError, match="at least two samples"):
+        auc_numeric((times[:1], values[:1]))
 
 
 # --- new-case identities -----------------------------------------------------------

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import lockcycle.series as ser
-from lockcycle import fit_cfr, parse_jhu_timeseries
+from lockcycle.cfr import fit as fit_cfr
+from lockcycle.series import parse_jhu_timeseries
 from lockcycle.validation import (
     CYCLE_SPLIT,
     FIT_FROM,

@@ -6,8 +6,7 @@ import os
 
 import numpy as np
 
-from lockcycle import parse_jhu_timeseries
-from lockcycle.series import JHU_FILENAMES
+from lockcycle.series import JHU_FILENAMES, parse_jhu_timeseries
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "make_snapshot.py")
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from lockcycle import (
+from lockcycle.series import (
     DailySeries,
     active_cases,
     difference,
@@ -16,10 +16,11 @@ from lockcycle import (
     parse_jhu_timeseries,
     read_long_csv,
     read_long_json,
+    long_records,
+    series_to_rows,
     window,
 )
 from lockcycle.cli import _csv_writer, _render
-from lockcycle.series import long_records, series_to_rows
 
 D = dt.date
 
@@ -55,13 +56,16 @@ class TestDailySeries:
         assert len(s) == 3
         assert s.end_date == D(2020, 3, 3)
         assert s.dates() == [D(2020, 3, 1), D(2020, 3, 2), D(2020, 3, 3)]
-        assert s.index_of(D(2020, 3, 2)) == 1
+        assert s.value_on(D(2020, 3, 2)) == 6.0
         assert s.value_on(D(2020, 3, 3)) == 7.0
 
     def test_lookup_outside_range(self):
         s = DailySeries(D(2020, 3, 1), [5.0], "new_cases")
+        with pytest.raises(ValueError, match="date 2020-03-02 outside series range "
+                                             "2020-03-01..2020-03-01"):
+            s.value_on(D(2020, 3, 2))
         with pytest.raises(ValueError, match="outside series range"):
-            s.index_of(D(2020, 3, 2))
+            s.value_on(D(2020, 2, 29))
 
     def test_empty_series_has_no_end_date(self):
         s = DailySeries(D(2020, 3, 1), [], "new_cases")
