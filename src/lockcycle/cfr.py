@@ -14,13 +14,15 @@ decay a the scale b is the closed-form least-squares solution, leaving the
 one-dimensional profile SSE(a) = |d|^2 - (d.s)^2/(s.s) for each delay.  The
 recursion starts from zero state, so the state for delay k is the zero-delay
 state shifted by k days and one filter pass per decay serves every delay.  A
-50-point grid scan on (0, 1) brackets each delay's minimum, and a second pass
-over the same grid gives the profile's slope at every grid decay, so the
-bracket ends need no filter pass of their own except on a search edge.
-Safeguarded Newton steps on the profile's slope refine all delays in lock
-step, and the integer delay k with the smallest residual wins.  Each
-evaluation builds its block power matrices once and runs every filter pass
-it needs on them.
+50-point grid scan on (0, 1) finds each delay's best grid decay, and a second
+pass, over the grid decays next to a best one only, gives the profile's slope
+there.  Its sign at the best decay picks the half grid cell holding the
+minimum, and safeguarded Newton steps on the profile's slope refine all
+delays in lock step from that half's secant root, or from the search edge
+when the half ends on one.  The integer delay k with the smallest residual
+wins.  Each evaluation builds its block power matrices once, as strided
+views, and runs every filter pass it needs on them; the bundled Israel fit
+takes five evaluations.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .series import DailySeries, moving_average, overlap
 
@@ -85,11 +87,12 @@ _BLOCK = 32
 
 
 def _lower_powers(a: np.ndarray, size: int) -> np.ndarray:
-    """powers[..., j, i] = a**(i-j) for i >= j and 0 above, one matrix per decay."""
+    """powers[..., j, i] = a**(i-j) for i >= j and 0 above, one read-only matrix per decay."""
     ramp = np.zeros(a.shape + (2 * size - 1,))
     ramp[..., size - 1:] = a[..., None] ** np.arange(size)
-    # row j is window j of [0]*(size-1) + a**(0..size-1), read backwards
-    return sliding_window_view(ramp, size, axis=-1)[..., ::-1, :]
+    # entry (j, i) reads ramp[size-1+i-j] of [0]*(size-1) + a**(0..size-1)
+    return as_strided(ramp[..., size - 1:], a.shape + (size, size),
+                      ramp.strides[:-1] + (-ramp.itemsize, ramp.itemsize), writeable=False)
 
 
 def _pole(a, t: int):
@@ -145,6 +148,7 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
 _GRID = (np.arange(50) + 0.5) / 50
 _TOP = 1.0 - 1e-12  # a = 1 would give the kernel infinite mass
 _STEP_TOL = 1e-14
+_STALL = 1e-9
 _MAX_STEPS = 100
 
 
@@ -183,24 +187,30 @@ def _profile_slopes(cases, ahead, mask, a):
 
 
 def _grid_profiles(cases, ahead, ks):
-    """Explained square (d.s)^2/(s.s) and profile slope of every delay in ks
-    (columns) at every decay of _GRID (rows).
+    """Best grid index of every delay in ks, and the profile slopes (rows:
+    _GRID, columns: ks) at the grid decays next to some delay's best one.
 
-    One filter pass gives the grid states s and a second on the same powers
-    their a-derivative ds; with b = (d.s)/(s.s) the slope is
-    -2b(d.ds - b s.ds), and both are 0 where b is not positive.
+    One filter pass gives the grid states s, whose explained square
+    (d.s)^2/(s.s) picks each delay's best grid decay.  A second pass on the
+    same powers gives the a-derivative ds at the grid decays next to a best
+    one only, the entries _fit_decays reads; with b = (d.s)/(s.s) the slope
+    is -2b(d.ds - b s.ds), 0 where b is not positive and NaN where unread.
     """
     end = len(cases) - 1 - ks  # the last state day with a death k days on
     pole = _pole(_GRID, len(cases))
     states = _one_pole(cases, pole)
-    ds = _one_pole(_delayed(states, 1), pole)
     p = states @ ahead.T
     q = np.cumsum(states * states, axis=1)[:, end]
     fits = (p > 0.0) & (q > 0.0)
-    explained = np.divide(p * p, q, out=np.zeros_like(p), where=fits)
-    b = np.divide(p, q, out=np.zeros_like(p), where=fits)
-    slopes = -2.0 * b * (ds @ ahead.T - b * np.cumsum(states * ds, axis=1)[:, end])
-    return explained, slopes
+    best = np.argmax(np.divide(p * p, q, out=np.zeros_like(p), where=fits), axis=0)
+    near = np.zeros(len(_GRID), dtype=bool)
+    near[np.clip(best[:, None] + np.arange(-1, 2), 0, len(_GRID) - 1)] = True
+    s, p, q = states[near], p[near], q[near]
+    ds = _one_pole(_delayed(s, 1), tuple(table[near] for table in pole))
+    b = np.divide(p, q, out=np.zeros_like(p), where=fits[near])
+    slopes = np.full(fits.shape, np.nan)
+    slopes[near] = -2.0 * b * (ds @ ahead.T - b * np.cumsum(s * ds, axis=1)[:, end])
+    return best, slopes
 
 
 def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
@@ -208,38 +218,42 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
 
     Every delay works on the zero-delay state s_0: row j of `ahead` holds the
     deaths k_j days after each state day and `mask` the state days that have
-    one.  A 50-point grid scan over (0, 1) brackets each delay's profile
-    minimum; a minimum whose bracket end already has an outward slope sits
-    on that end.  A bracket end on the grid reads its slope from the grid
-    scan's table.  The search edges 0 and _TOP are not grid decays, so only
-    the delays bracketed there evaluate the slope at the edge, in the
-    residual form -2b(r.ds): at an exact fit with a = 0 the table's form
-    cancels to a slope of the wrong sign.  The other delays take Newton
-    steps on the profile slope together, each falling back to bisection
-    whenever its step would leave its bracket or its profile is not convex
-    there, until every step is below _STEP_TOL.
+    one.  A 50-point grid scan over (0, 1) finds each delay's best grid
+    decay, and the sign of the grid table's slope there picks the half cell
+    beside it that holds the profile minimum.  A minimum whose outer grid end
+    already slopes outward sits on that end; otherwise Newton starts at the
+    half's secant root.  The search edges 0 and _TOP are not grid decays, so
+    a half ending on one starts Newton on the edge itself: that evaluation,
+    in the residual form -2b(r.ds), is the edge test (at an exact fit with
+    a = 0 the table's form cancels to a slope of the wrong sign), and an
+    outward slope there collapses the bracket onto the edge.  All delays
+    take Newton steps on the profile slope together, each falling back to
+    bisection whenever its step would leave its bracket or its profile is
+    not convex there.  A row stops on a step below _STEP_TOL, or once the
+    Newton step its slope and curvature give, taken or rejected for leaving
+    the bracket, is below _STALL but not under half its previous step: its
+    slope is then rounding noise.
     """
     t = len(cases)
     days = np.arange(t)
     mask = (days < t - ks[:, None]).astype(float)
     ahead = np.where(mask > 0.0, deaths[np.minimum(days + ks[:, None], t - 1)], 0.0)
 
-    explained, slopes = _grid_profiles(cases, ahead, ks)
-    j = np.argmax(explained, axis=0)
-    edges = np.concatenate([[0.0], _GRID, [_TOP]])
-    lo, hi = edges[j], edges[j + 2]
-
+    j, slopes = _grid_profiles(cases, ahead, ks)
     cols = np.arange(len(ks))
-    slope_lo = slopes[np.maximum(j - 1, 0), cols]
-    slope_hi = slopes[np.minimum(j + 1, len(_GRID) - 1), cols]
-    first, last = np.flatnonzero(j == 0), np.flatnonzero(j == len(_GRID) - 1)
-    if first.size + last.size:  # an empty batch still pays ~170 us for its filter tables
-        at = np.concatenate([first, last])
-        ends, _ = _profile_slopes(cases, ahead[at], mask[at],
-                                  np.concatenate([lo[first], hi[last]]))
-        slope_lo[first], slope_hi[last] = ends[:first.size], ends[first.size:]
-    a = np.where(slope_lo >= 0.0, lo, np.where(slope_hi <= 0.0, hi, _GRID[j]))
-    rows = np.flatnonzero((slope_lo < 0.0) & (slope_hi > 0.0))
+    mid, slope_mid = _GRID[j], slopes[j, cols]
+    up = slope_mid < 0.0  # the minimum lies above the best grid decay
+    outer = np.where(up, j + 1, j - 1)
+    edge = (outer < 0) | (outer == len(_GRID))
+    end = np.concatenate([[0.0], _GRID, [_TOP]])[outer + 1]
+    slope_end = slopes[np.clip(outer, 0, len(_GRID) - 1), cols]
+    outward = ~edge & np.where(up, slope_end <= 0.0, slope_end >= 0.0)
+    lo, hi = np.minimum(mid, end), np.maximum(mid, end)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = mid - slope_mid * (end - mid) / (slope_end - slope_mid)
+    a = np.where(slope_mid == 0.0, mid, np.where(edge | outward, end, secant))
+    rows = np.flatnonzero((slope_mid != 0.0) & ~outward)
+    last = np.full(len(ks), np.inf)
     for _ in range(_MAX_STEPS):
         if rows.size == 0:
             break
@@ -248,12 +262,17 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
         lo[rows] = lo_x = np.where(slope < 0.0, x, lo[rows])
         hi[rows] = hi_x = np.where(slope > 0.0, x, hi[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.clip(x - slope / curvature, lo_x, hi_x)
+            shift = -slope / curvature
+        newton = np.clip(x + shift, lo_x, hi_x)
         # a converged step may round onto the bracket end it has just moved
         converged = np.abs(newton - x) <= _STEP_TOL
         usable = (curvature > 0.0) & (((newton > lo_x) & (newton < hi_x)) | converged)
         a[rows] = step = np.where(usable, newton, 0.5 * (lo_x + hi_x))
-        rows = rows[np.abs(step - x) > _STEP_TOL]
+        # a Newton step that stops shrinking, taken or not, follows noise
+        stalled = (curvature > 0.0) & (np.abs(shift) < _STALL)
+        stalled &= np.abs(shift) >= 0.5 * last[rows]
+        last[rows] = np.abs(step - x)
+        rows = rows[(last[rows] > _STEP_TOL) & ~stalled]
 
     states = _one_pole(cases, _pole(a, t)) * mask
     b, _ = _best_scale(states, ahead)
@@ -300,7 +319,11 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
     start, (n, d) = overlap(cases_s, deaths_s)
     if not np.any(n != 0.0):
         raise ValueError("case series is identically zero")
-    if len(n) - k_hi < 60:  # so also at least 60 aligned points
+    if len(n) - k_lo < 60:
+        raise ValueError("only %d points are aligned after a smooth_window of %d days: even "
+                         "the smallest delay, %d, leaves fewer than the 60 fitted points a "
+                         "fit needs" % (len(n), smooth_window, k_lo))
+    if len(n) - k_hi < 60:
         raise ValueError("k_range upper end %d reaches past the %d points aligned after a "
                          "smooth_window of %d days: every delay must leave at least 60 "
                          "fitted points" % (k_hi, len(n), smooth_window))
@@ -317,8 +340,9 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
         if sse_by_k[j] < sse_by_k[best] * (1.0 - 1e-12):
             best = j
     k, a, b, sse = int(ks[best]), float(a_by_k[best]), float(b_by_k[best]), float(sse_by_k[best])
-    cv_a, cv_b = parameter_cvs(n, d, k, a, b)
-    fitted = DailySeries(start, b * _state(n, a, k), "daily_deaths")
+    s, ds_da = _state_and_slope(n, a, k)
+    cv_a, cv_b = _cvs(s, ds_da, d, a, b)
+    fitted = DailySeries(start, b * s, "daily_deaths")
     return CfrModel(k, a, b, sse=sse, cv_a=cv_a, cv_b=cv_b, fitted_deaths=fitted)
 
 
@@ -332,13 +356,20 @@ def parameter_cvs(cases: np.ndarray, deaths: np.ndarray, k: int, a: float, b: fl
     parameter sitting at zero.
     """
     cases = np.asarray(cases, dtype=float)
-    deaths = np.asarray(deaths, dtype=float)
-    t = len(cases)
+    return _cvs(*_state_and_slope(cases, a, k), np.asarray(deaths, dtype=float), a, b)
+
+
+def _state_and_slope(cases, a: float, k: int):
+    # the state for delay k and its a-derivative, on one set of power tables
+    pole = _pole(a, len(cases))
+    s = _delayed(_one_pole(cases, pole), k)
+    return s, _one_pole(_delayed(s, 1), pole)
+
+
+def _cvs(s, ds_da, deaths, a: float, b: float):
+    t = len(s)
     if t - 2 <= 0:
         return None, None
-    pole = _pole(a, t)
-    s = _delayed(_one_pole(cases, pole), k)
-    ds_da = _one_pole(_delayed(s, 1), pole)
     col_a = b * ds_da
     col_b = s
     g11 = float(np.dot(col_a, col_a))

@@ -101,6 +101,21 @@ def _profile_terms(cases, deaths, k, a):
     return b, math.fsum(r * ds for r, ds in zip(resid, slopes))
 
 
+def profile_slope(cases, deaths, k, a):
+    """a-derivative -2*b*(r . ds/da) of the profile sum (d - b*s)^2 at a."""
+    b, r_ds = _profile_terms(cases, deaths, k, a)
+    return -2.0 * b * r_ds
+
+
+def profile_sse(cases, deaths, k, a):
+    """Profile sum (d - b*s)^2 at a, on the direct double-loop state, with the
+    closed-form best scale b clamped at 0."""
+    deaths = np.asarray(deaths, dtype=float)
+    s = convolve_direct(cases, k, a, 1.0)
+    b = max(0.0, math.fsum(deaths * s) / math.fsum(s * s))
+    return math.fsum((deaths - b * s) ** 2)
+
+
 def profile_optimum(cases, deaths, k, lo, hi):
     """Least-squares kernel (a, b) for a fixed delay k by bisection in [lo, hi].
 

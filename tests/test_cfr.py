@@ -7,8 +7,8 @@ import pytest
 
 import lockcycle.series as ser
 from lockcycle.cfr import CfrModel, fit as fit_cfr, predict_deaths
-from lockcycle.cfr import (_GRID, _TOP, _delayed, _fit_decays, _grid_profiles, _one_pole,
-                           _pole, _profile_slopes, parameter_cvs)
+from lockcycle.cfr import (_GRID, _TOP, _delayed, _fit_decays, _grid_profiles, _lower_powers,
+                           _one_pole, _pole, _profile_slopes, parameter_cvs)
 from lockcycle.series import DailySeries
 from lockcycle.validation import FIT_FROM, FIT_TO
 
@@ -141,6 +141,21 @@ def test_one_pole_matches_direct_convolution(days):
                                    rtol=1e-13)
 
 
+@pytest.mark.parametrize("decays, size", [(0.943, 32), (DECAYS, 32), (DECAYS, 1),
+                                          ([[0.5, 0.0], [0.999999, 0.9]], 7)])
+def test_lower_powers_are_the_masked_powers(decays, size):
+    a = np.asarray(decays, dtype=float)
+    powers = _lower_powers(a, size)
+    lag = np.arange(size) - np.arange(size)[:, None]  # i - j at [j, i]
+    with np.errstate(divide="ignore"):  # 0**negative, masked out
+        expected = np.where(lag >= 0, a[..., None, None] ** lag, 0.0)
+    assert powers.shape == a.shape + (size, size)
+    np.testing.assert_array_equal(powers, expected)
+    assert not powers.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        powers[..., 0, 0] = 1.0
+
+
 def test_one_pole_decay_derivative_matches_central_difference():
     rng = np.random.default_rng(5)
     cases = rng.uniform(0.0, 300.0, 101)
@@ -187,12 +202,19 @@ def test_grid_slope_table_matches_profile_slopes(source, data_dir):
         deaths = oracles.convolve_direct(cases, 6, 0.85, 0.002) * np.exp(rng.normal(0.0, 0.15, 150))
     ks = np.arange(0, 31)
     ahead, mask = rows_ahead(deaths, ks)
-    _, table = _grid_profiles(cases, ahead, ks)
-    for i, a in enumerate(_GRID):
+    best, table = _grid_profiles(cases, ahead, ks)
+    # the table fills the grid rows next to some delay's best grid decay,
+    # which hold every entry _fit_decays reads, and leaves the rest NaN
+    near = np.zeros(len(_GRID), dtype=bool)
+    near[np.clip(best[:, None] + np.arange(-1, 2), 0, len(_GRID) - 1)] = True
+    assert near.sum() < len(_GRID)
+    assert not np.isnan(table[near]).any() and np.isnan(table[~near]).all()
+    for i in np.flatnonzero(near):
+        a = _GRID[i]
         slope, _ = _profile_slopes(cases, ahead, mask, np.full(len(ks), a))
         # the table's form -2b(d.ds - b s.ds) subtracts terms of size
         # 2b(d.ds): a slope under 1e-9 of that keeps too few digits to
-        # compare, but the bracket test still reads its sign
+        # compare, but the half-cell choice still reads its sign
         s = one_pole(cases, a) * mask
         ds = one_pole(_delayed(s, 1), a) * mask
         b = np.sum(ahead * s, axis=1) / np.sum(s * s, axis=1)
@@ -203,22 +225,102 @@ def test_grid_slope_table_matches_profile_slopes(source, data_dir):
 
 @pytest.mark.parametrize("decay, k, cell", [(0.012, 4, 0), (0.99, 2, len(_GRID) - 1)])
 def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, cell):
-    # noisy data; the bracket of such a minimum has one end on a search
+    # noisy data; the half cell holding such a minimum may end on a search
     # edge, 0 or _TOP, whose slope is evaluated apart from the grid table
     rng = np.random.default_rng(0)
     cases = smooth_case_curve(150, rng)
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.05, 150))
     ks = np.arange(0, 9)
-    explained, _ = _grid_profiles(cases, rows_ahead(deaths, ks)[0], ks)
+    best, _ = _grid_profiles(cases, rows_ahead(deaths, ks)[0], ks)
     a, b, _ = _fit_decays(cases, deaths, ks)
     lo, hi = (0.0, _GRID[1]) if cell == 0 else (_GRID[-2], _TOP)
     # every delay whose minimum lies inside that cell, off the edge itself
-    inside = np.flatnonzero((np.argmax(explained, axis=0) == cell) & (a > 0.0) & (a < _TOP))
+    inside = np.flatnonzero((best == cell) & (a > 0.0) & (a < _TOP))
     assert (k in ks[inside]) and (cell == 0 or inside.size == len(ks))
     for r in inside:
         a_ref, b_ref = oracles.profile_optimum(list(cases), list(deaths), int(ks[r]), lo, hi)
         assert abs(a[r] - a_ref) <= 1e-9
         assert b[r] == pytest.approx(b_ref, rel=1e-6)
+
+
+def edge_case_data(where):
+    # noisy deaths whose profile minimum for delay 3 lies in a half cell that
+    # ends on a search edge: on the edge itself, or inside the half
+    rng = np.random.default_rng(2)
+    cases = smooth_case_curve(150, rng)
+    if where == "zero":
+        # a negative second kernel tap: the best decay would be negative
+        clean = (oracles.convolve_direct(cases, 3, 0.0, 0.003)
+                 - oracles.convolve_direct(cases, 4, 0.0, 0.001))
+    else:
+        # "top" grows: the best decay would be past 1
+        decay = {"top": 1.01, "inside top": 0.996, "inside zero": 0.005}[where]
+        clean = oracles.convolve_direct(cases, 3, decay, 0.003)
+    sd = 0.002 if where == "inside zero" else 0.05
+    return cases, clean * np.exp(rng.normal(0.0, sd, 150))
+
+
+@pytest.mark.parametrize("where", ["zero", "top", "inside zero", "inside top"])
+def test_edge_half_cell_minimum(where):
+    cases, deaths = edge_case_data(where)
+    k = 3
+    ks = np.array([k])
+    best, table = _grid_profiles(cases, rows_ahead(deaths, ks)[0], ks)
+    # the grid picks the half cell between the edge and its nearest grid decay
+    cell, edge = (0, 0.0) if where.endswith("zero") else (len(_GRID) - 1, _TOP)
+    assert best[0] == cell
+    assert table[cell, 0] > 0.0 if edge == 0.0 else table[cell, 0] < 0.0
+    (a,), (b,), (sse,) = _fit_decays(cases, deaths, ks)
+    if where.startswith("inside"):
+        lo, hi = sorted((edge, _GRID[cell]))
+        a_ref, b_ref = oracles.profile_optimum(list(cases), list(deaths), k, lo, hi)
+        assert abs(a - a_ref) <= 1e-12
+        assert b == pytest.approx(b_ref, rel=1e-9)
+    else:
+        # the edge's own slope points out of the search interval
+        assert a == edge
+        outward = oracles.profile_slope(list(cases), list(deaths), k, edge)
+        assert outward > 0.0 if edge == 0.0 else outward < 0.0
+    assert sse == pytest.approx(oracles.profile_sse(cases, deaths, k, a), rel=1e-9)
+    for neighbour in _GRID[[cell, cell - 1 if cell else 1]]:
+        assert sse < oracles.profile_sse(cases, deaths, k, neighbour)
+
+
+@pytest.fixture
+def slope_calls(monkeypatch):
+    # the batch size of every profile-slope evaluation _fit_decays makes
+    calls = []
+
+    def counted(cases, ahead, mask, a):
+        calls.append(len(a))
+        return _profile_slopes(cases, ahead, mask, a)
+
+    monkeypatch.setattr("lockcycle.cfr._profile_slopes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k_max", [15, 30])
+def test_israel_fit_takes_five_evaluations(k_max, data_dir, slope_calls):
+    cases, deaths = israel_window(data_dir)
+    a, _, _ = _fit_decays(cases, deaths, np.arange(0, k_max + 1))
+    assert a[3] == pytest.approx(0.9393724244736548, rel=1e-12)
+    assert len(slope_calls) <= 5
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_noisy_fit_ends_without_a_run_of_one_row_calls(seed, slope_calls):
+    rng = np.random.default_rng(seed)
+    cases = smooth_case_curve(150, rng)
+    k, decay = seed, 0.5 + 0.08 * seed
+    deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.1, 150))
+    ks = np.arange(0, 11)
+    a, _, _ = _fit_decays(cases, deaths, ks)
+    ones = len(slope_calls) - len(np.trim_zeros(np.array(slope_calls) != 1, "b"))
+    assert ones <= 2, slope_calls
+    for r in np.flatnonzero((a > 0.0) & (a < _TOP)):
+        lo, hi = max(0.0, a[r] - 0.02), min(_TOP, a[r] + 0.02)
+        a_ref, _ = oracles.profile_optimum(list(cases), list(deaths), int(ks[r]), lo, hi)
+        assert abs(a[r] - a_ref) <= 1e-12
 
 
 # --- fitting ---------------------------------------------------------------------

@@ -501,6 +501,15 @@ class TestBadArguments:
         assert rc == 2
         assert "go together" in err
 
+    def test_short_fit_window_is_named_exits_two(self, capsys):
+        # 23 aligned points: too few for any delay, not just the top of k_range
+        rc, out, err = run(capsys, "fit-cfr", "--from", "2020-12-01")
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: only 23 points are aligned after a smooth_window of 7 days: "
+                       "even the smallest delay, 0, leaves fewer than the 60 fitted points "
+                       "a fit needs\n")
+
     def test_unknown_country_exits_two(self, capsys):
         rc, out, err = run(capsys, "fit-cfr", "--country", "Atlantis")
         assert rc == 2
