@@ -6,10 +6,11 @@ case-data ingestion (series), the two-cycle snapshot validation (validation),
 and a command line that parses, calls and renders (cli).
 
 The package exports the names of the numpy-free core and costs modules,
-which load with it.  cfr and series are registered as lazy modules that
-execute (and import numpy) on first attribute access; their names, like
-those of validation and cli, are imported from their own modules.  So the
-closed-form commands never load numpy.
+which load with it.  series needs no numpy either and, like validation and
+cli, loads when it is imported.  cfr is registered as a lazy module that
+executes (and imports numpy) on first attribute access.  The names of cfr,
+series, validation and cli are imported from their own modules.  So only
+the commands that fit, fit-cfr and validate, load numpy.
 """
 
 import sys as _sys
@@ -39,4 +40,3 @@ def _lazy_submodule(name):
 
 
 cfr = _lazy_submodule("cfr")
-series = _lazy_submodule("series")

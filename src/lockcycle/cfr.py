@@ -23,17 +23,22 @@ when the half ends on one.  The integer delay k with the smallest residual
 wins.  Each evaluation builds its block power matrices once, as strided
 views, and runs every filter pass it needs on them; the bundled Israel fit
 takes five evaluations.
+
+The input series hold plain floats.  fit turns each into an array once,
+smooths it with a trailing moving average and aligns the two on their
+common dates, all on arrays.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .series import DailySeries, moving_average, overlap
+from .series import DailySeries, overlap
 
 __all__ = [
     "CfrModel",
@@ -140,7 +145,7 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
     contributes.  A series shorter than the delay yields an empty prediction.
     """
     if len(new_cases) < model.delay_k:
-        return DailySeries(new_cases.start_date, np.zeros(0), "daily_deaths")
+        return DailySeries(new_cases.start_date, (), "daily_deaths")
     s = _state(np.asarray(new_cases.values, dtype=float), model.decay_a, model.delay_k)
     return DailySeries(new_cases.start_date, model.scale_b * s, "daily_deaths")
 
@@ -282,6 +287,16 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     return a, b, head + _rowdot(resid, resid)
 
 
+def _moving_average(values, window_days: int) -> np.ndarray:
+    """Trailing window_days-day mean of a series' values as an array, from
+    the window_days-th value on; a width of 1 gives the values unchanged."""
+    # fromiter reads a tuple of floats faster than asarray
+    values = np.fromiter(values, float, len(values))
+    if window_days == 1:
+        return values
+    return np.convolve(values, np.ones(window_days), "valid") / window_days
+
+
 def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
         smooth_window: int = 7) -> CfrModel:
     """Fit the delay kernel to observed daily cases and deaths.
@@ -314,9 +329,11 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
         raise ValueError("smooth_window must be at least 1 and at most the %d days of the "
                          "shorter series, got %d" % (shortest, smooth_window))
 
-    cases_s = moving_average(new_cases, smooth_window)
-    deaths_s = moving_average(deaths, smooth_window)
-    start, (n, d) = overlap(cases_s, deaths_s)
+    # the trailing mean of a day covers it and the smooth_window - 1 days
+    # before, so each smoothed series starts that many days after its input
+    lag = dt.timedelta(days=smooth_window - 1)
+    start, (n, d) = overlap(*((s.start_date + lag, _moving_average(s.values, smooth_window))
+                              for s in (new_cases, deaths)))
     if not np.any(n != 0.0):
         raise ValueError("case series is identically zero")
     if len(n) - k_lo < 60:
@@ -331,7 +348,7 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
     if not np.any(d != 0.0):
         # no deaths at all: b = 0 fits every delay equally well
         return CfrModel(k_lo, 0.0, 0.0, sse=0.0, cv_a=None, cv_b=None,
-                        fitted_deaths=DailySeries(start, np.zeros(len(d)), "daily_deaths"))
+                        fitted_deaths=DailySeries(start, (0.0,) * len(d), "daily_deaths"))
 
     ks = np.arange(k_lo, k_hi + 1)
     a_by_k, b_by_k, sse_by_k = _fit_decays(n, d, ks)

@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
     else:  # oc-then-co
         sched = core.PhaseSchedule(oc.phases + core.swap_cycle(oc).phases)
     traj = core.solve_trajectory(params.i0, sched, params.gamma, sample_step=args.step)
-    peak = int(traj.active.argmax())
+    peak = traj.active.index(max(traj.active))  # the first of equal maxima
     payload = {
         "order": args.order,
         "gamma": params.gamma,
@@ -205,8 +205,8 @@ def cmd_simulate(args) -> int:
         "period": sched.period,
         "step": args.step,
         "phase_boundaries": [{"time": t, "active": v} for t, v in traj.phase_boundaries],
-        "times": [float(t) for t in traj.times],
-        "active": [float(v) for v in traj.active],
+        "times": traj.times,
+        "active": traj.active,
     }
     human = [
         "active-case trajectory, %s order, %s days" % (args.order, _s3(sched.period)),
@@ -309,6 +309,15 @@ def cmd_ingest(args) -> int:
     if args.date_from is not None or args.date_to is not None:
         lo = _parse_iso(args.date_from, "--from") if args.date_from is not None else None
         hi = _parse_iso(args.date_to, "--to") if args.date_to is not None else None
+        # a one-sided window that misses the data names its flag, not the
+        # edge that stands in for the other one
+        first = max(s.start_date for s in derived)
+        last = min(s.end_date for s in derived)
+        span = "the snapshot's dates (every ingested series covers %s..%s)" % (first, last)
+        if lo is not None and lo > last:
+            raise ValueError("--from %s is after %s" % (lo, span))
+        if hi is not None and hi < first:
+            raise ValueError("--to %s is before %s" % (hi, span))
         derived = [ser.window(s, lo or s.start_date, hi or s.end_date) for s in derived]
 
     human = ["ingested %s from %s" % (args.country, args.data_dir)]

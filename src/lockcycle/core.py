@@ -12,11 +12,8 @@ given period that achieves this balance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "DEFAULT_GAMMA",
@@ -36,7 +33,7 @@ __all__ = [
 DEFAULT_GAMMA = 1.0 / 14.0
 
 #: Largest number of samples solve_trajectory takes; a sample_step that would
-#: need more is rejected before any array is allocated.
+#: need more is rejected before any sample is taken.
 MAX_SAMPLES = 1_000_000
 
 
@@ -167,28 +164,18 @@ class PhaseSchedule:
 class Trajectory:
     """Sampled active-case curve plus its exact phase edges.
 
-    times/active are the sampled grid.  phase_boundaries holds the exact
-    (time, value) pairs at the start and at every phase edge, chained from the
-    start value by sequential closed-form products, and rates the net rate
-    gamma*(rt - 1) of each phase between them, so downstream integrals and
-    invariant checks do not depend on the sampling step.  Arrays are frozen
-    after construction.
+    times/active are the sampled grid, as tuples of floats.  phase_boundaries
+    holds the exact (time, value) pairs at the start and at every phase edge,
+    chained from the start value by sequential closed-form products, and
+    rates the net rate gamma*(rt - 1) of each phase between them, so
+    downstream integrals and invariant checks do not depend on the sampling
+    step.
     """
 
-    times: np.ndarray
-    active: np.ndarray
+    times: tuple
+    active: tuple
     phase_boundaries: tuple
     rates: tuple
-
-    def __post_init__(self):
-        import numpy as np
-
-        times = np.asarray(self.times, dtype=float)
-        active = np.asarray(self.active, dtype=float)
-        times.flags.writeable = False
-        active.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "active", active)
 
 
 def phase_lengths(params: StrategyParams):
@@ -224,8 +211,6 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     underflows to 0), naming i0, gamma and the schedule's period.
     """
     _require_positive(i0=i0, gamma=gamma, sample_step=sample_step)
-    import numpy as np
-
     rates = tuple(gamma * (ph.rt - 1.0) for ph in schedule.phases)
     edges = [(0.0, float(i0))]
     for ph, rate in zip(schedule.phases, rates):
@@ -245,17 +230,20 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     # each arc is monotone, so the edge values bound every sample on it
     _require_in_range("the active-case curve", [v for _, v in edges],
                       i0=i0, gamma=gamma, period=total)
-    times = np.arange(n_steps + 1, dtype=float) * sample_step
+    times = [i * sample_step for i in range(n_steps + 1)]
     if n_steps and total - times[-1] <= 1e-9 * sample_step:
         times[-1] = total  # snap fp drift so the last sample sits on the cycle end
     else:  # the t=0 sample stays even on a cycle shorter than the snap tolerance
-        times = np.append(times, total)
+        times.append(total)
 
-    starts, values = np.array(edges[:-1]).T
-    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(rates) - 1)
-    active = values[idx] * np.exp(np.array(rates)[idx] * (times - starts[idx]))
+    # the samples are sorted, so each phase owns one run of them; a sample on
+    # a phase start belongs to the phase it starts
+    cuts = [0, *(bisect_left(times, t) for t, _ in edges[1:-1]), len(times)]
+    active = []
+    for (start, value), rate, lo, hi in zip(edges, rates, cuts, cuts[1:]):
+        active += [value * math.exp(rate * (t - start)) for t in times[lo:hi]]
 
-    return Trajectory(times, active, tuple(edges), rates)
+    return Trajectory(tuple(times), tuple(active), tuple(edges), rates)
 
 
 def swap_cycle(schedule: PhaseSchedule) -> PhaseSchedule:

@@ -1,8 +1,10 @@
-"""Dated daily series: JHU CSSE ingestion, differencing, windows, smoothing, long format.
+"""Dated daily series: JHU CSSE ingestion, differencing, windows, long format.
 
 Cumulative inputs are kept exactly as published.  Reporting artifacts such as
 negative daily increments or downward revisions of a cumulative series are
-surfaced through ingest_report, never repaired.
+surfaced through ingest_report, never repaired.  Values are tuples of floats
+and every operation here is plain Python, so ingestion needs no numpy; the
+fit's smoothing lives in cfr.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ import datetime as dt
 import io
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "KINDS",
@@ -29,7 +30,6 @@ __all__ = [
     "overlap",
     "active_cases",
     "window",
-    "moving_average",
     "series_to_rows",
     "long_records",
     "read_long_csv",
@@ -66,21 +66,28 @@ JHU_FILENAMES = {
 class DailySeries:
     """A contiguous daily-sampled series starting at start_date.
 
-    kind is one of KINDS.  Values are frozen after construction.
+    kind is one of KINDS.  values, given as any one-dimensional sequence of
+    numbers (a numpy array too), is stored as a tuple of floats.
     """
 
     start_date: dt.date
-    values: np.ndarray
+    values: tuple
     kind: str
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown series kind %r; expected one of %s" % (self.kind, ", ".join(KINDS)))
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
+        values = self.values
+        # a string is a sequence of one-character strings that float() reads
+        if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
             raise ValueError("values must be one-dimensional")
-        values = values.copy()
-        values.flags.writeable = False
+        if hasattr(values, "astype"):  # an array converts in C-level passes
+            values = tuple(values.astype(float).tolist())
+        else:
+            try:
+                values = tuple(map(float, values))
+            except TypeError:  # a scalar, or an item that is itself a sequence
+                raise ValueError("values must be one-dimensional") from None
         object.__setattr__(self, "values", values)
 
     def __len__(self):
@@ -99,13 +106,14 @@ class DailySeries:
         i = (day - self.start_date).days
         if not 0 <= i < len(self.values):
             raise ValueError("date %s outside series range %s..%s" % (day, self.start_date, self.end_date))
-        return float(self.values[i])
+        return self.values[i]
 
 
 # m/d/yy or m/d/yyyy in ASCII digits, with blanks around it only: int()
 # alone would also take signs, inner blanks and non-ASCII digits.  A
 # four-digit year is taken as written, so it starts at 1000
 _MDY = re.compile(r"\s*([0-9]{1,2})/([0-9]{1,2})/([0-9]{2}|[1-9][0-9]{3})\s*")
+_ONE_DAY = dt.timedelta(days=1)
 
 
 def _parse_mdy(token: str, path: str, column: int) -> dt.date:
@@ -117,6 +125,50 @@ def _parse_mdy(token: str, path: str, column: int) -> dt.date:
         except ValueError:  # no such day
             pass
     raise ValueError("%s: bad date column %d: %r (expected m/d/yy)" % (path, column, token))
+
+
+def _parse_header_dates(tokens, path: str) -> list:
+    """The dates of the header's date columns (column 5 on), which must be
+    consecutive days.
+
+    A token that is the canonical m/d/yy form of the day after the previous
+    column's, as CSSE writes them, is taken without a regex match.  Any
+    other token goes through _parse_mdy, so every bad column is reported
+    before the first gap, as when every column was parsed first.
+    """
+    dates = [_parse_mdy(tokens[0], path, 5)]
+    gap = None
+    for column, token in enumerate(tokens[1:], start=6):
+        prev = dates[-1]
+        day = prev + _ONE_DAY
+        # two-digit years name 2000..2099 only
+        if not (2000 <= day.year < 2100
+                and token == "%d/%d/%02d" % (day.month, day.day, day.year - 2000)):
+            day = _parse_mdy(token, path, column)
+            if gap is None and (day - prev).days != 1:
+                gap = prev, day
+        dates.append(day)
+    if gap is not None:
+        raise ValueError("%s: date columns must be consecutive days; gap between %s and %s"
+                         % ((path,) + gap))
+    return dates
+
+
+def _parse_counts(cells, path: str, lineno: int, dates) -> list:
+    """One row's counts as floats, a blank cell counting 0; a cell that is
+    not a number, or not a finite one, is an error naming the line."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:  # a blank cell, or no number at all
+        try:
+            values = [float(x) if x.strip() else 0.0 for x in cells]
+        except ValueError as exc:
+            raise ValueError("%s: line %d: %s" % (path, lineno, exc)) from None
+    if not all(map(math.isfinite, values)):
+        bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        raise ValueError("%s: line %d has the non-finite value %r on %s"
+                         % (path, lineno, cells[bad].strip(), dates[bad]))
+    return values
 
 
 def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
@@ -147,14 +199,10 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
         raise ValueError("%s: unexpected header %r; not a CSSE wide-format file" % (path, header[:4]))
     if len(header) == 4:
         raise ValueError("%s: no date columns" % path)
-    dates = [_parse_mdy(tok, str(path), i + 5) for i, tok in enumerate(header[4:])]
-    for prev, cur in zip(dates, dates[1:]):
-        if (cur - prev).days != 1:
-            raise ValueError("%s: date columns must be consecutive days; gap between %s and %s"
-                             % (path, prev, cur))
+    dates = _parse_header_dates(header[4:], str(path))
 
     width = len(header)
-    total = np.zeros(len(dates))
+    total = [0.0] * len(dates)
     matched = 0
     seen = set()
     for lineno, row in enumerate(rows[1:], start=2):
@@ -165,15 +213,8 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
             continue
         if province is not None and row[0] != province:
             continue
-        try:
-            values = np.array([float(x) if x.strip() else 0.0 for x in row[4:]])
-        except ValueError as exc:
-            raise ValueError("%s: line %d: %s" % (path, lineno, exc)) from None
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValueError("%s: line %d has the non-finite value %r on %s"
-                             % (path, lineno, row[4 + bad[0]].strip(), dates[bad[0]]))
-        total += values
+        values = _parse_counts(row[4:], path, lineno, dates)
+        total = list(map(operator.add, total, values))
         matched += 1
     if matched == 0:
         raise ValueError("country %r%s not found in %s; available countries: %s"
@@ -190,22 +231,23 @@ def load_country(data_dir, country: str, kinds=CUMULATIVE_KINDS) -> list:
             for kind in kinds]
 
 
+def _diff(values) -> tuple:
+    # values[i + 1] - values[i], as numpy's diff takes it
+    return tuple(map(operator.sub, values[1:], values[:-1]))
+
+
 def ingest_report(series: DailySeries) -> tuple:
     """List source anomalies without changing the data.
 
     Returns (date, value) pairs: each date with a negative increment and the
     increment (cumulative kinds), or each negative value (daily kinds).
     """
-    out = []
     days = series.dates()
     if series.kind in CUMULATIVE_KINDS:
-        deltas = np.diff(series.values)
-        for i in np.nonzero(deltas < 0)[0]:
-            out.append((days[i + 1], float(deltas[i])))
+        days, values = days[1:], _diff(series.values)
     else:
-        for i in np.nonzero(series.values < 0)[0]:
-            out.append((days[i], float(series.values[i])))
-    return tuple(out)
+        values = series.values
+    return tuple((day, v) for day, v in zip(days, values) if v < 0)
 
 
 def difference(series: DailySeries) -> DailySeries:
@@ -217,17 +259,21 @@ def difference(series: DailySeries) -> DailySeries:
         raise ValueError("no daily kind defined for %r" % series.kind)
     if len(series) < 2:
         raise ValueError("need at least two points to difference")
-    return DailySeries(series.start_date + dt.timedelta(days=1),
-                       np.diff(series.values), _DAILY_KIND_FOR[series.kind])
+    return DailySeries(series.start_date + _ONE_DAY,
+                       _diff(series.values), _DAILY_KIND_FOR[series.kind])
 
 
-def overlap(*series_list):
-    """(start date, [values of each series]) on the dates common to all."""
-    start = max(s.start_date for s in series_list)
-    days = (min(s.end_date for s in series_list) - start).days + 1
+def overlap(*spans):
+    """(start date, [values of each span]) on the dates common to all spans.
+
+    A span is a (start date, values) pair of daily values, values being any
+    sliceable sequence; each result is a slice of its span's values.
+    """
+    start = max(first for first, _ in spans)
+    days = min((first - start).days + len(values) for first, values in spans)
     if days < 1:
         raise ValueError("series have no common date range: their dates do not overlap")
-    return start, [s.values[(start - s.start_date).days:][:days] for s in series_list]
+    return start, [values[(start - first).days:][:days] for first, values in spans]
 
 
 def active_cases(confirmed: DailySeries, deaths: DailySeries,
@@ -239,8 +285,9 @@ def active_cases(confirmed: DailySeries, deaths: DailySeries,
             raise ValueError("expected a %s series, got %s" % (k, s.kind))
         if len(s) == 0:
             raise ValueError("empty %s series" % k)
-    start, (c, d, r) = overlap(confirmed, deaths, recovered)
-    return DailySeries(start, c - d - r, "active_cases")
+    start, (c, d, r) = overlap(*((s.start_date, s.values) for s in (confirmed, deaths, recovered)))
+    return DailySeries(start, tuple(map(operator.sub, map(operator.sub, c, d), r)),
+                       "active_cases")
 
 
 def window(series: DailySeries, start: dt.date, end: dt.date) -> DailySeries:
@@ -259,20 +306,6 @@ def window(series: DailySeries, start: dt.date, end: dt.date) -> DailySeries:
     return DailySeries(lo, series.values[i:j + 1], series.kind)
 
 
-def moving_average(series: DailySeries, window_days: int) -> DailySeries:
-    """Trailing moving average; the first window_days - 1 points are dropped."""
-    if window_days < 1:
-        raise ValueError("window_days must be at least 1")
-    if window_days == 1:
-        return series
-    if len(series) < window_days:
-        raise ValueError("series of %d points is shorter than the %d-day window"
-                         % (len(series), window_days))
-    smoothed = np.convolve(series.values, np.ones(window_days), "valid") / window_days
-    return DailySeries(series.start_date + dt.timedelta(days=window_days - 1),
-                       smoothed, series.kind)
-
-
 # ---------------------------------------------------------------------------
 # long-format emission and read-back
 #
@@ -287,8 +320,7 @@ def series_to_rows(series_list):
         kind_rank[s.kind] = len(kind_rank)
     rows = []
     for s in series_list:
-        for day, v in zip(s.dates(), s.values):
-            rows.append((day, s.kind, float(v)))
+        rows.extend((day, s.kind, v) for day, v in zip(s.dates(), s.values))
     rows.sort(key=lambda r: (r[0], kind_rank[r[1]]))
     return rows
 

@@ -166,7 +166,7 @@ def validate(data_dir, cfr=None):
         co_cases=co_cases,
         # plain floats so downstream arithmetic and json stay numpy-free
         cfr_used=float(cfr),
-        predicted_ratio_from_model=float(two_cycles.values.max()) / two_cycles.value_on(OC_START),
+        predicted_ratio_from_model=max(two_cycles.values) / two_cycles.value_on(OC_START),
     )
 
     checks = []

@@ -108,11 +108,12 @@ def test_criterion_02_two_cycle_trajectory():
         peak_value = max(v for _, v in traj.phase_boundaries)
         c.check(abs(peak_value - 75000.0) <= 500.0,
                 "peak %.1f not within 75000 +/- 500" % peak_value)
-        peak_day = float(traj.times[int(np.argmax(traj.active))])
+        times, active = np.asarray(traj.times), np.asarray(traj.active)
+        peak_day = float(times[int(np.argmax(active))])
         c.check(peak_day == 31.0, "daily-sample peak at day %s, not 31" % peak_day)
         for day in (54.0, 108.0):
-            idx = int(np.argmin(np.abs(traj.times - day)))
-            value = float(traj.active[idx])
+            idx = int(np.argmin(np.abs(times - day)))
+            value = float(active[idx])
             c.check(abs(value - 21000.0) <= 1.0,
                     "day %g active %.3f not within 21000 +/- 1" % (day, value))
         elapsed = best_time(solve)

@@ -8,7 +8,7 @@ import pytest
 import lockcycle.series as ser
 from lockcycle.cfr import CfrModel, fit as fit_cfr, predict_deaths
 from lockcycle.cfr import (_GRID, _TOP, _delayed, _fit_decays, _grid_profiles, _lower_powers,
-                           _one_pole, _pole, _profile_slopes, parameter_cvs)
+                           _moving_average, _one_pole, _pole, _profile_slopes, parameter_cvs)
 from lockcycle.series import DailySeries
 from lockcycle.validation import FIT_FROM, FIT_TO
 
@@ -50,9 +50,9 @@ def israel_window(data_dir):
     confirmed, deaths = (ser.parse_jhu_timeseries(os.path.join(data_dir, ser.JHU_FILENAMES[kind]),
                                                   "Israel", kind)
                          for kind in ("confirmed_cumulative", "deaths_cumulative"))
-    smoothed = (ser.moving_average(ser.window(ser.difference(c), FIT_FROM, FIT_TO), 7)
-                for c in (confirmed, deaths))
-    return ser.overlap(*smoothed)[1]
+    windows = [ser.window(ser.difference(c), FIT_FROM, FIT_TO) for c in (confirmed, deaths)]
+    assert len({(s.start_date, len(s)) for s in windows}) == 1  # already aligned
+    return [_moving_average(s.values, 7) for s in windows]
 
 
 # --- model type ----------------------------------------------------------------
@@ -366,10 +366,10 @@ def test_fit_reports_residual_and_prediction():
     model = fit_cfr(make_cases(cases), make_deaths(deaths), k_range=(0, 12), smooth_window=7)
     fitted = model.fitted_deaths
     assert fitted.kind == "daily_deaths"
-    # residual bookkeeping is consistent with the returned prediction
-    from lockcycle.series import moving_average
-    deaths_s = moving_average(make_deaths(deaths), 7)
-    aligned = deaths_s.values[(fitted.start_date - deaths_s.start_date).days:]
+    # residual bookkeeping is consistent with the returned prediction; the
+    # smoothed deaths start 6 days after the raw ones
+    deaths_s = _moving_average(deaths, 7)
+    aligned = deaths_s[(fitted.start_date - START).days - 6:]
     sse = float(np.sum((np.asarray(fitted.values) - aligned[:len(fitted)]) ** 2))
     assert sse == pytest.approx(model.sse, rel=1e-9)
 
@@ -391,6 +391,32 @@ def test_fit_input_validation():
         fit_cfr(make_cases(np.ones(70)), make_deaths(np.ones(70)), k_range=(0, 70))
     with pytest.raises(ValueError, match="zero"):
         fit_cfr(make_cases(np.zeros(80)), make_deaths(np.ones(80)))
+
+
+def test_moving_average_is_trailing_and_drops_the_warmup():
+    assert _moving_average((1.0, 2.0, 3.0, 4.0, 5.0), 3).tolist() == [2.0, 3.0, 4.0]
+
+
+def test_moving_average_of_width_one_keeps_the_values():
+    smoothed = _moving_average((1.0, 2.5, -3.0), 1)
+    assert isinstance(smoothed, np.ndarray)
+    assert smoothed.tolist() == [1.0, 2.5, -3.0]
+
+
+def test_fit_aligns_series_of_different_date_ranges():
+    # deaths run from day 10 to day 159, cases from day 0 to day 149; after a
+    # 7-day trailing mean the common dates are days 16..149
+    cases = smooth_case_curve(160)
+    deaths = oracles.convolve_direct(cases, 3, 0.9, 0.004)
+    model = fit_cfr(make_cases(cases[:150]),
+                    DailySeries(START + dt.timedelta(days=10), deaths[10:], "daily_deaths"),
+                    k_range=(0, 8), smooth_window=7)
+    assert model.fitted_deaths.start_date == START + dt.timedelta(days=16)
+    assert len(model.fitted_deaths) == 134
+    smoothed = np.convolve(deaths, np.ones(7) / 7.0, "valid")[10:144]
+    resid = np.asarray(model.fitted_deaths.values) - smoothed
+    assert model.sse == pytest.approx(float(resid @ resid), rel=1e-9)
+    assert model.delay_k == 3
 
 
 @pytest.mark.parametrize("window", [0, -3, 101])

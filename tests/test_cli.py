@@ -169,6 +169,16 @@ class TestIngest:
         assert min(dates) == "2020-08-30"
         assert max(dates) == "2020-12-16"
 
+    @pytest.mark.parametrize("flag, day, where", [("--from", "2030-01-01", "after"),
+                                                  ("--to", "2019-01-01", "before"),
+                                                  ("--to", "2020-01-22", "before")])
+    def test_window_outside_the_snapshot_names_its_flag(self, capsys, flag, day, where):
+        # the daily series start a day after the cumulative ones, on 2020-01-23
+        rc, out, err = run(capsys, "ingest", flag, day)
+        assert (rc, out) == (2, "")
+        assert err == ("error: %s %s is %s the snapshot's dates (every ingested series "
+                       "covers 2020-01-23..2020-12-31)\n" % (flag, day, where))
+
     def test_source_anomalies_are_noted(self, capsys):
         rc, out, err = run(capsys, "ingest")
         assert rc == 0

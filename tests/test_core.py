@@ -251,7 +251,7 @@ def test_cycle_shorter_than_the_snap_tolerance_keeps_its_start(baseline, period,
                                               period, gamma=baseline.gamma)
     traj = solve_trajectory(params.i0, PhaseSchedule.open_close(params), params.gamma,
                             sample_step=sample_step)
-    assert traj.times.tolist() == times
+    assert np.asarray(traj.times).tolist() == times
     assert traj.active[0] == params.i0
 
 
@@ -268,7 +268,7 @@ def test_trajectory_edges_chain_exactly(baseline):
 def test_flat_when_rt_is_one():
     s = PhaseSchedule(((1.0, 10.0),))
     traj = solve_trajectory(500.0, s, 0.2)
-    assert np.all(traj.active == 500.0)
+    assert np.all(np.asarray(traj.active) == 500.0)
 
 
 def test_trajectory_rejects_bad_inputs(baseline):
@@ -333,10 +333,24 @@ def test_phase_boundaries_are_the_sequential_closed_form_chain():
     assert traj.rates == tuple(gamma * (rt - 1.0) for rt, _ in phases)
 
 
-def test_trajectory_arrays_are_frozen(baseline):
-    traj = solve_trajectory(baseline.i0, PhaseSchedule.open_close(baseline), baseline.gamma)
-    with pytest.raises(ValueError):
-        traj.active[0] = 0.0
+@pytest.mark.parametrize("step", [1.0, 0.7])
+def test_trajectory_samples_are_tuples_of_floats(baseline, step):
+    traj = solve_trajectory(baseline.i0, PhaseSchedule.open_close(baseline), baseline.gamma,
+                            sample_step=step)
+    for samples in (traj.times, traj.active):
+        assert type(samples) is tuple
+        assert all(type(v) is float for v in samples)
+
+
+def test_sample_on_a_phase_start_belongs_to_the_new_phase():
+    # the third phase starts at 0.1 + 0.2, on the sample 3 * 0.1: that sample
+    # is the exact edge value, while the second phase's arc rounds it otherwise
+    traj = solve_trajectory(100.0, PhaseSchedule(((3.0, 0.1), (0.2, 0.2), (2.0, 0.5))), 5.0,
+                            sample_step=0.1)
+    (t_prev, prev), (t_edge, edge) = traj.phase_boundaries[1:3]
+    assert traj.times[3] == t_edge
+    assert traj.active[3] == edge
+    assert prev * math.exp(traj.rates[1] * (t_edge - t_prev)) != edge
 
 
 def test_trajectory_against_rk4():

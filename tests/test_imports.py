@@ -1,8 +1,9 @@
 """The import contract, checked in fresh interpreters.
 
 The package loads only its numpy-free core and costs modules and exports
-their names; cfr and series are lazy modules, so the closed-form commands run
-without numpy.  Nothing heavier than numpy is ever imported.
+their names.  series is plain Python too, and cfr is a lazy module, so every
+command but fit-cfr and validate runs without numpy.  Nothing heavier than
+numpy is ever imported.
 """
 
 import contextlib
@@ -37,13 +38,30 @@ def test_import_pulls_in_no_scipy_or_requests():
     assert loaded(("scipy", "requests"), "import lockcycle, lockcycle.cli") == []
 
 
-@pytest.mark.parametrize("command", ["schedule", "compare-costs"])
+@pytest.mark.parametrize("command", ["schedule", "compare-costs", "simulate", "ingest"])
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
-def test_closed_form_commands_never_load_numpy(command, fmt):
+def test_commands_that_fit_nothing_never_load_numpy(command, fmt):
     setup = ("import contextlib, io\nfrom lockcycle.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert main(%r) == 0" % [command, *fmt])
     assert loaded(("numpy",), setup) == []
+
+
+def test_ingest_to_a_file_never_loads_numpy(tmp_path):
+    setup = ("import contextlib, io\nfrom lockcycle.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert main(%r) == 0" % ["ingest", "--out", str(tmp_path / "x.csv")])
+    assert loaded(("numpy",), setup) == []
+    assert (tmp_path / "x.csv").read_text().startswith("date,kind,value\n")
+
+
+@pytest.mark.parametrize("command", ["fit-cfr", "validate"])
+def test_fitting_commands_load_numpy(command):
+    # the control for the tests above: the check sees numpy where it loads
+    setup = ("import contextlib, io\nfrom lockcycle.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert main(%r) == 0" % [command])
+    assert "numpy" in loaded(("numpy",), setup)
 
 
 @pytest.mark.parametrize("command", ["schedule", "compare-costs"])

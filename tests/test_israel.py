@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lockcycle.series as ser
-from lockcycle.cfr import fit as fit_cfr
+from lockcycle.cfr import _moving_average, fit as fit_cfr
 from lockcycle.series import parse_jhu_timeseries
 from lockcycle.validation import (
     CYCLE_SPLIT,
@@ -135,9 +135,10 @@ def test_fatality_kernel_fit(israel_fit):
 def test_kernel_pins_are_the_profile_optimum(fit_inputs):
     # the decay/scale pins above come from this independent day-step
     # bisection at the fitted delay, not from the library's own output
-    cases, deaths = (ser.moving_average(s, 7) for s in fit_inputs)
-    assert cases.start_date == deaths.start_date and len(cases) == len(deaths)
-    a, b = oracles.profile_optimum(list(cases.values), list(deaths.values), 3, 0.9, 0.98)
+    assert fit_inputs[0].start_date == fit_inputs[1].start_date
+    cases, deaths = (_moving_average(s.values, 7) for s in fit_inputs)
+    assert len(cases) == len(deaths)
+    a, b = oracles.profile_optimum(cases.tolist(), deaths.tolist(), 3, 0.9, 0.98)
     assert a == pytest.approx(0.9393724244736548, rel=1e-12)
     assert b == pytest.approx(0.0005003997811273047, rel=1e-12)
 

@@ -9,10 +9,11 @@ import pytest
 
 from lockcycle.series import (
     DailySeries,
+    _parse_header_dates,
+    _parse_mdy,
     active_cases,
     difference,
     ingest_report,
-    moving_average,
     parse_jhu_timeseries,
     read_long_csv,
     read_long_json,
@@ -42,14 +43,22 @@ class TestDailySeries:
         with pytest.raises(ValueError, match="unknown series kind"):
             DailySeries(D(2020, 1, 1), [1.0], "weekly_cases")
 
-    def test_rejects_multidimensional_values(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            DailySeries(D(2020, 1, 1), [[1.0, 2.0]], "new_cases")
+    @pytest.mark.parametrize("values", [[[1.0, 2.0]], "123", b"123", 5.0, np.ones((2, 1)),
+                                        np.float64(5.0)],
+                             ids=["nested", "str", "bytes", "scalar", "2d-array", "0d-array"])
+    def test_rejects_values_that_are_not_one_dimensional(self, values):
+        with pytest.raises(ValueError, match="^values must be one-dimensional$"):
+            DailySeries(D(2020, 1, 1), values, "new_cases")
 
-    def test_values_are_frozen(self):
-        s = DailySeries(D(2020, 1, 1), [1.0, 2.0], "new_cases")
-        with pytest.raises(ValueError):
-            s.values[0] = 9.0
+    @pytest.mark.parametrize("values", [[1, 2.5], (1.0, 2.5), np.array([1.0, 2.5]),
+                                        np.array([1, 2]), range(3)],
+                             ids=["list", "tuple", "array", "int-array", "range"])
+    def test_values_are_a_tuple_of_floats(self, values):
+        s = DailySeries(D(2020, 1, 1), values, "new_cases")
+        assert type(s.values) is tuple
+        assert s.values == tuple(float(v) for v in values)
+        assert all(type(v) is float for v in s.values)
+        assert type(s.value_on(D(2020, 1, 2))) is float
 
     def test_date_arithmetic(self):
         s = DailySeries(D(2020, 3, 1), [5.0, 6.0, 7.0], "new_cases")
@@ -100,7 +109,8 @@ class TestWideFormatParsing:
                                    province="Victoria")
         assert nsw.values[-1] == 4598.0
         assert vic.values[-1] == 20299.0
-        assert np.array_equal(total.values, nsw.values + vic.values)
+        # tuples: + would concatenate them
+        assert np.array_equal(total.values, np.asarray(nsw.values) + np.asarray(vic.values))
 
     def test_country_name_containing_comma(self, data_dir):
         s = parse_jhu_timeseries(confirmed_path(data_dir), "Korea, South")
@@ -173,6 +183,42 @@ class TestWideFormatParsing:
     def test_accepts_four_digit_year(self, tmp_path):
         p = wide_file(tmp_path, WIDE_HEADER + ",1/22/2020\n,X,0,0,1\n")
         assert parse_jhu_timeseries(p, "X").start_date == D(2020, 1, 22)
+
+    def test_accepts_non_canonical_dates_after_the_first(self, tmp_path):
+        p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,01/23/2020, 1/24/20 ,1/25/2020,1/26/20\n"
+                                              ",X,0,0,1,2,3,4,5\n")
+        s = parse_jhu_timeseries(p, "X")
+        assert (s.start_date, s.end_date) == (D(2020, 1, 22), D(2020, 1, 26))
+
+    @pytest.mark.parametrize("header", [
+        "1/22/20,1/23/20,1/32/20",    # a bad later column, by its number
+        "1/22/20,1/24/20,foo",        # a bad column is reported before a gap
+        "1/22/20,1/24/20,1/25/20",    # a gap
+        "1/22/20,1/23/20,1/23/20",    # a repeated day
+        "12/30/20,12/31/20,1/1/21",   # a new year
+        "12/31/99,1/1/00",            # two-digit years stop at 2099
+        "12/31/1999,1/1/00",
+        "2/28/2100,3/1/2100",
+        "1/22/20,1/23/20,1/24/2020,1/25/20,01/26/20,1/28/20",
+    ])
+    def test_header_dates_as_when_every_column_is_parsed(self, header):
+        tokens = header.split(",")
+
+        def outcome(parse):
+            try:
+                return parse(tokens, "f.csv")
+            except ValueError as exc:
+                return str(exc)
+
+        def every_column(tokens, path):
+            dates = [_parse_mdy(tok, path, i + 5) for i, tok in enumerate(tokens)]
+            for prev, cur in zip(dates, dates[1:]):
+                if (cur - prev).days != 1:
+                    raise ValueError("%s: date columns must be consecutive days; gap between "
+                                     "%s and %s" % (path, prev, cur))
+            return dates
+
+        assert outcome(_parse_header_dates) == outcome(every_column)
 
     def test_rejects_file_without_date_columns(self, tmp_path):
         p = wide_file(tmp_path, WIDE_HEADER + "\n,X,0,0\n")
@@ -272,29 +318,6 @@ class TestWindow:
     def test_reversed_window_is_an_error(self):
         with pytest.raises(ValueError, match="after end"):
             window(self.s, D(2020, 7, 5), D(2020, 7, 3))
-
-
-class TestMovingAverage:
-    def test_trailing_average_drops_warmup(self):
-        s = DailySeries(D(2020, 7, 1), [1.0, 2.0, 3.0, 4.0, 5.0], "new_cases")
-        m = moving_average(s, 3)
-        assert m.start_date == D(2020, 7, 3)
-        assert list(m.values) == [2.0, 3.0, 4.0]
-        assert m.kind == "new_cases"
-
-    def test_width_one_is_identity(self):
-        s = DailySeries(D(2020, 7, 1), [1.0, 2.0], "new_cases")
-        assert moving_average(s, 1) is s
-
-    def test_rejects_nonpositive_width(self):
-        s = DailySeries(D(2020, 7, 1), [1.0, 2.0], "new_cases")
-        with pytest.raises(ValueError, match="at least 1"):
-            moving_average(s, 0)
-
-    def test_rejects_window_longer_than_series(self):
-        s = DailySeries(D(2020, 7, 1), [1.0, 2.0], "new_cases")
-        with pytest.raises(ValueError, match="shorter than"):
-            moving_average(s, 7)
 
 
 class TestIngestReport:
