@@ -44,7 +44,6 @@ __all__ = [
     "CfrModel",
     "predict_deaths",
     "fit",
-    "parameter_cvs",
 ]
 
 
@@ -132,12 +131,6 @@ def _one_pole(x, pole) -> np.ndarray:
     return np.ascontiguousarray(y.reshape(y.shape[:-2] + (blocks * _BLOCK,))[..., :t])
 
 
-def _state(values: np.ndarray, a, k: int) -> np.ndarray:
-    # s_k(t) = s_0(t-k): the recursion is linear, time-invariant and starts
-    # from zero, so every delay shares the zero-delay state
-    return _delayed(_one_pole(values, _pole(a, len(values))), k)
-
-
 def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
     """Daily deaths implied by a new-case series under the kernel.
 
@@ -146,7 +139,10 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
     """
     if len(new_cases) < model.delay_k:
         return DailySeries(new_cases.start_date, (), "daily_deaths")
-    s = _state(np.asarray(new_cases.values, dtype=float), model.decay_a, model.delay_k)
+    values = np.asarray(new_cases.values, dtype=float)
+    # s_k(t) = s_0(t-k): the recursion is linear, time-invariant and starts
+    # from zero, so every delay shares the zero-delay state
+    s = _delayed(_one_pole(values, _pole(model.decay_a, len(values))), model.delay_k)
     return DailySeries(new_cases.start_date, model.scale_b * s, "daily_deaths")
 
 
@@ -357,30 +353,12 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
         if sse_by_k[j] < sse_by_k[best] * (1.0 - 1e-12):
             best = j
     k, a, b, sse = int(ks[best]), float(a_by_k[best]), float(b_by_k[best]), float(sse_by_k[best])
-    s, ds_da = _state_and_slope(n, a, k)
-    cv_a, cv_b = _cvs(s, ds_da, d, a, b)
+    # the state for delay k and its a-derivative, on one set of power tables
+    pole = _pole(a, len(n))
+    s = _delayed(_one_pole(n, pole), k)
+    cv_a, cv_b = _cvs(s, _one_pole(_delayed(s, 1), pole), d, a, b)
     fitted = DailySeries(start, b * s, "daily_deaths")
     return CfrModel(k, a, b, sse=sse, cv_a=cv_a, cv_b=cv_b, fitted_deaths=fitted)
-
-
-def parameter_cvs(cases: np.ndarray, deaths: np.ndarray, k: int, a: float, b: float):
-    """Percent coefficients of variation of (a, b) at a fitted optimum.
-
-    Linearises the prediction around the optimum: the Jacobian columns are
-    b * ds/da and s, the residual variance is sse/(T - 2), and the covariance
-    is variance * inverse Gram.  Returns (None, None) when the Gram matrix is
-    singular or there are no spare degrees of freedom, and a None cv for a
-    parameter sitting at zero.
-    """
-    cases = np.asarray(cases, dtype=float)
-    return _cvs(*_state_and_slope(cases, a, k), np.asarray(deaths, dtype=float), a, b)
-
-
-def _state_and_slope(cases, a: float, k: int):
-    # the state for delay k and its a-derivative, on one set of power tables
-    pole = _pole(a, len(cases))
-    s = _delayed(_one_pole(cases, pole), k)
-    return s, _one_pole(_delayed(s, 1), pole)
 
 
 def _cvs(s, ds_da, deaths, a: float, b: float):

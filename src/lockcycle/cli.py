@@ -116,21 +116,37 @@ def _resolve_params(args) -> core.StrategyParams:
         args.i0, args.period, gamma=args.gamma)
 
 
-def _csv_writer(header, rows):
-    # writes a CSV document: the header row, then rows of cells; csv writes
-    # None as an empty cell and a float as float.__repr__ gives it
-    def write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    return write
+def _window(args, series, default_from=None, default_to=None):
+    """(from, to, series cut to the window) for args' --from/--to dates.
+
+    An absent edge is its default, else each series' own edge (None).  A bad
+    window raises ValueError naming the flag given, not the edge standing in.
+    """
+    lo = default_from if args.date_from is None else _parse_iso(args.date_from, "--from")
+    hi = default_to if args.date_to is None else _parse_iso(args.date_to, "--to")
+    if args.date_to is None and hi is not None and lo > hi:
+        raise ValueError("--from %s is after the default --to %s" % (lo, hi))
+    if args.date_from is None and lo is not None and hi < lo:
+        raise ValueError("--to %s is before the default --from %s" % (hi, lo))
+    if lo or hi:
+        first = max(s.start_date for s in series)
+        last = min(s.end_date for s in series)
+        span = "the snapshot's dates (every ingested series covers %s..%s)" % (first, last)
+        if args.date_from is not None and lo > last:
+            raise ValueError("--from %s is after %s" % (lo, span))
+        if args.date_to is not None and hi < first:
+            raise ValueError("--to %s is before %s" % (hi, span))
+        series = [ser.window(s, lo or s.start_date, hi or s.end_date) for s in series]
+    return lo, hi, series
 
 
-def _render(args, human, payload, write_csv) -> None:
+def _render(args, human, payload, header=("field", "value"), rows=None) -> None:
     """Write one command's result in the format args.format and args.out ask for.
 
-    human is the summary's lines, payload the JSON document and write_csv
-    writes the CSV document to a file object.
+    human is the summary's lines and payload the JSON document.  The CSV
+    document is header, then rows of cells, by default the payload's scalar
+    items; csv writes None as an empty cell and a float as float.__repr__
+    gives it.
     """
     fmt, out = args.format, args.out
     if out and fmt is None:
@@ -140,7 +156,13 @@ def _render(args, human, payload, write_csv) -> None:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         write = lambda fh: fh.write(text)
     elif fmt == "csv":
-        write = write_csv
+        if rows is None:
+            rows = [(k, v) for k, v in payload.items() if not isinstance(v, (list, dict))]
+
+        def write(fh):
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
     if out:
         with open(out, "w", newline="", encoding="utf-8") as fh:
             write(fh)
@@ -180,8 +202,7 @@ def cmd_schedule(args) -> int:
         "  gamma       %s /day" % _s3(params.gamma),
         "  average R_t over the cycle: %s" % _s3(payload["average_rt"]),
     ]
-    fields = [(k, v) for k, v in payload.items() if k != "phases"]
-    _render(args, human, payload, _csv_writer(("field", "value"), fields))
+    _render(args, human, payload)
     return EXIT_OK
 
 
@@ -217,8 +238,7 @@ def cmd_simulate(args) -> int:
     ]
     human += ["  phase edge  day %-8s active %s" % (_s3(t), _s3(v))
               for t, v in traj.phase_boundaries[1:]]
-    rows = zip(payload["times"], payload["active"])
-    _render(args, human, payload, _csv_writer(("time", "active"), rows))
+    _render(args, human, payload, ("time", "active"), zip(traj.times, traj.active))
     return EXIT_OK
 
 
@@ -251,16 +271,15 @@ def cmd_compare_costs(args) -> int:
         "  peak factor       %s (peak %s from %s)"
         % (_s3(payload["peak_factor"]), _s3(oc.i_max), _s3(params.i0)),
     ]
-    _render(args, human, payload, _csv_writer(("field", "value"), payload.items()))
+    _render(args, human, payload)
     return EXIT_OK
 
 
 def cmd_fit_cfr(args) -> int:
-    date_from = _parse_iso(args.date_from, "--from")
-    date_to = _parse_iso(args.date_to, "--to")
     confirmed, deaths = ser.load_country(args.data_dir, args.country, ser.CUMULATIVE_KINDS[:2])
-    new_cases = ser.window(ser.difference(confirmed), date_from, date_to)
-    daily_deaths = ser.window(ser.difference(deaths), date_from, date_to)
+    date_from, date_to, (new_cases, daily_deaths) = _window(
+        args, (ser.difference(confirmed), ser.difference(deaths)),
+        validation.FIT_FROM, validation.FIT_TO)
     model = cfr_fit.fit(new_cases, daily_deaths, k_range=(args.k_min, args.k_max),
                         smooth_window=args.smooth_window)
     payload = {
@@ -292,7 +311,7 @@ def cmd_fit_cfr(args) -> int:
         human.append("  cv(a)        %s%%" % _s3(model.cv_a))
     if model.cv_b is not None:
         human.append("  cv(b)        %s%%" % _s3(model.cv_b))
-    _render(args, human, payload, _csv_writer(("field", "value"), payload.items()))
+    _render(args, human, payload)
     return EXIT_OK
 
 
@@ -306,19 +325,7 @@ def cmd_ingest(args) -> int:
         ser.difference(deaths),
         ser.active_cases(confirmed, deaths, recovered),
     ]
-    if args.date_from is not None or args.date_to is not None:
-        lo = _parse_iso(args.date_from, "--from") if args.date_from is not None else None
-        hi = _parse_iso(args.date_to, "--to") if args.date_to is not None else None
-        # a one-sided window that misses the data names its flag, not the
-        # edge that stands in for the other one
-        first = max(s.start_date for s in derived)
-        last = min(s.end_date for s in derived)
-        span = "the snapshot's dates (every ingested series covers %s..%s)" % (first, last)
-        if lo is not None and lo > last:
-            raise ValueError("--from %s is after %s" % (lo, span))
-        if hi is not None and hi < first:
-            raise ValueError("--to %s is before %s" % (hi, span))
-        derived = [ser.window(s, lo or s.start_date, hi or s.end_date) for s in derived]
+    derived = _window(args, derived)[2]
 
     human = ["ingested %s from %s" % (args.country, args.data_dir)]
     for s in derived:
@@ -335,7 +342,7 @@ def cmd_ingest(args) -> int:
                             else "value(s)", spots))
     records = ser.long_records(derived)
     rows = ((r["date"], r["kind"], r["value"]) for r in records)
-    _render(args, human, records, _csv_writer(("date", "kind", "value"), rows))
+    _render(args, human, records, ("date", "kind", "value"), rows)
     return EXIT_OK
 
 
@@ -372,10 +379,10 @@ def cmd_validate(args) -> int:
         human.append("  %-4s %-28s %s in [%s, %s]"
                      % ("ok" if c["ok"] else "FAIL", c["name"], _s3(c["value"]),
                         _s3(c["low"]), _s3(c["high"])))
-    fields = [(k, "%s..%s" % tuple(v) if isinstance(v, list) else v)
-              for k, v in payload.items() if k != "checks"]
-    fields += [("check:%s" % c["name"], "PASS" if c["ok"] else "FAIL") for c in checks]
-    _render(args, human, payload, _csv_writer(("field", "value"), fields))
+    rows = [(k, "%s..%s" % tuple(v) if isinstance(v, list) else v)
+            for k, v in payload.items() if k != "checks"]
+    rows += [("check:%s" % c["name"], "PASS" if c["ok"] else "FAIL") for c in checks]
+    _render(args, human, payload, rows=rows)
     return EXIT_OK if all(c["ok"] for c in checks) else EXIT_TOLERANCE
 
 
@@ -443,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest delay searched, default 15")
     sp.add_argument("--smooth-window", dest="smooth_window", type=int, default=7,
                     help="trailing-mean width in days (1 disables), default 7")
-    sp.set_defaults(handler=cmd_fit_cfr, date_from=validation.FIT_FROM.isoformat(),
-                    date_to=validation.FIT_TO.isoformat())
+    sp.set_defaults(handler=cmd_fit_cfr)
 
     sp = sub.add_parser("ingest", help="derive and export long-format series from a snapshot")
     add_data(sp); add_output(sp)

@@ -8,7 +8,7 @@ import pytest
 import lockcycle.series as ser
 from lockcycle.cfr import CfrModel, fit as fit_cfr, predict_deaths
 from lockcycle.cfr import (_GRID, _TOP, _delayed, _fit_decays, _grid_profiles, _lower_powers,
-                           _moving_average, _one_pole, _pole, _profile_slopes, parameter_cvs)
+                           _cvs, _moving_average, _one_pole, _pole, _profile_slopes)
 from lockcycle.series import DailySeries
 from lockcycle.validation import FIT_FROM, FIT_TO
 
@@ -479,8 +479,14 @@ def test_cvs_near_zero_on_noiseless_data():
 
 
 def test_cvs_degenerate_inputs():
-    assert parameter_cvs(np.ones(1), np.ones(1), 0, 0.5, 0.1) == (None, None)
+    def cvs(cases, deaths, a, b):
+        # at delay 0, from the state and its a-derivative, as fit builds them
+        pole = _pole(a, len(cases))
+        s = _one_pole(cases, pole)
+        return _cvs(s, _one_pole(_delayed(s, 1), pole), deaths, a, b)
+
+    assert cvs(np.ones(1), np.ones(1), 0.5, 0.1) == (None, None)
     # zero state gives a singular normal matrix
-    assert parameter_cvs(np.zeros(50), np.zeros(50), 0, 0.5, 0.1) == (None, None)
-    cv_a, cv_b = parameter_cvs(np.ones(50), np.ones(50), 0, 0.5, 0.0)
+    assert cvs(np.zeros(50), np.zeros(50), 0.5, 0.1) == (None, None)
+    cv_a, cv_b = cvs(np.ones(50), np.ones(50), 0.5, 0.0)
     assert cv_b is None

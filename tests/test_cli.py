@@ -144,6 +144,9 @@ class TestFitCfr:
         assert "cv(a)" in out
 
 
+SNAPSHOT_DATES = "the snapshot's dates (every ingested series covers 2020-01-23..2020-12-31)"
+
+
 class TestIngest:
     def test_out_files_read_back_as_the_derived_series(self, capsys, data_dir, tmp_path):
         confirmed, deaths, recovered = ser.load_country(data_dir, "Israel")
@@ -169,15 +172,21 @@ class TestIngest:
         assert min(dates) == "2020-08-30"
         assert max(dates) == "2020-12-16"
 
-    @pytest.mark.parametrize("flag, day, where", [("--from", "2030-01-01", "after"),
-                                                  ("--to", "2019-01-01", "before"),
-                                                  ("--to", "2020-01-22", "before")])
-    def test_window_outside_the_snapshot_names_its_flag(self, capsys, flag, day, where):
+    @pytest.mark.parametrize("command, flag, day, where", [
         # the daily series start a day after the cumulative ones, on 2020-01-23
-        rc, out, err = run(capsys, "ingest", flag, day)
+        ("ingest", "--from", "2030-01-01", "after %s" % SNAPSHOT_DATES),
+        ("ingest", "--to", "2019-01-01", "before %s" % SNAPSHOT_DATES),
+        ("ingest", "--to", "2020-01-22", "before %s" % SNAPSHOT_DATES),
+        # the other edge is fit-cfr's default, and the message says so
+        ("fit-cfr", "--from", "2030-01-01", "after the default --to 2020-12-29"),
+        ("fit-cfr", "--to", "2019-01-01", "before the default --from 2020-06-01"),
+        ("fit-cfr", "--from", "2020-12-30", "after the default --to 2020-12-29"),
+        ("fit-cfr", "--to", "2020-05-01", "before the default --from 2020-06-01"),
+    ])
+    def test_window_outside_the_snapshot_names_its_flag(self, capsys, command, flag, day, where):
+        rc, out, err = run(capsys, command, flag, day)
         assert (rc, out) == (2, "")
-        assert err == ("error: %s %s is %s the snapshot's dates (every ingested series "
-                       "covers 2020-01-23..2020-12-31)\n" % (flag, day, where))
+        assert err == "error: %s %s is %s\n" % (flag, day, where)
 
     def test_source_anomalies_are_noted(self, capsys):
         rc, out, err = run(capsys, "ingest")
@@ -589,12 +598,12 @@ class TestBadArguments:
         payload = {"ok": 1.0, "bad": float("nan")}
         options = argparse.Namespace(format="json", out=None)
         with pytest.raises(ValueError):
-            _render(options, ["summary"], payload, None)
+            _render(options, ["summary"], payload)
         assert capsys.readouterr().out == ""
         out_path = tmp_path / "doc.json"
         options.out = str(out_path)
         with pytest.raises(ValueError):
-            _render(options, ["summary"], payload, None)
+            _render(options, ["summary"], payload)
         assert not out_path.exists()
         assert capsys.readouterr().out == ""
 

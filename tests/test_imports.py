@@ -7,8 +7,10 @@ numpy is ever imported.
 """
 
 import contextlib
+import importlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 
@@ -85,6 +87,23 @@ def test_cli_import_registers_every_layer():
     counts = dict(line.split() for line in python("-c", code)[0].splitlines())
     assert set(counts) == {"core", "costs", "cfr", "series"}
     assert all(int(n) > 0 for n in counts.values())
+
+
+def test_traced_layer_functions_are_exported():
+    # The tracer wraps only __all__ functions and skips a missing name, so a
+    # renamed or deleted function would zero its per-layer metric silently.
+    # These four names are already gone from the library.
+    tracing = runpy.run_path(os.path.join(SRC, os.pardir, "perfbench", "tracing.py"))
+    names = {n for spans in tracing["TIME_METRICS"].values() for n in spans}
+    names |= set(tracing["COUNTERS"])
+    missing = set()
+    for name in names:
+        layer, _, function = name.partition(".")
+        if layer in tracing["LAYERS"] and function:
+            if function not in importlib.import_module("lockcycle." + layer).__all__:
+                missing.add(name)
+    assert missing <= {"series.write_long_csv", "series.write_long_json",
+                       "series.moving_average", "cfr.parameter_cvs"}
 
 
 def test_exports_are_their_submodules_objects():

@@ -21,7 +21,7 @@ from lockcycle.series import (
     series_to_rows,
     window,
 )
-from lockcycle.cli import _csv_writer, _render
+from lockcycle.cli import _render
 
 D = dt.date
 
@@ -359,9 +359,9 @@ class TestLongFormat:
     def test_csv_round_trip_is_lossless(self, tmp_path):
         cases, deaths = self.make_pair()
         path = str(tmp_path / "long.csv")
-        rows = [tuple(r.values()) for r in long_records([cases, deaths])]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            _csv_writer(("date", "kind", "value"), rows)(fh)
+        records = long_records([cases, deaths])
+        _render(argparse.Namespace(format="csv", out=path), [], records,
+                ("date", "kind", "value"), [tuple(r.values()) for r in records])
         back = read_long_csv(path)
         assert set(back) == {"new_cases", "daily_deaths"}
         for original in (cases, deaths):
@@ -373,7 +373,7 @@ class TestLongFormat:
     def test_json_round_trip_is_lossless(self, tmp_path, capsys):
         cases, deaths = self.make_pair()
         path = str(tmp_path / "long.json")
-        _render(argparse.Namespace(format=None, out=path), [], long_records([cases, deaths]), None)
+        _render(argparse.Namespace(format=None, out=path), [], long_records([cases, deaths]))
         back = read_long_json(path)
         for original in (cases, deaths):
             got = back[original.kind]
