@@ -6,11 +6,13 @@ case-data ingestion (series), the two-cycle snapshot validation (validation),
 and a command line that parses, calls and renders (cli).
 
 The package exports the names of the numpy-free core and costs modules,
-which load with it.  series needs no numpy either and, like validation and
-cli, loads when it is imported.  cfr is registered as a lazy module that
-executes (and imports numpy) on first attribute access.  The names of cfr,
-series, validation and cli are imported from their own modules.  So only
-the commands that fit, fit-cfr and validate, load numpy.
+which load with it.  series, validation and cfr are registered as lazy
+modules: each is in sys.modules from the start but runs only on first
+attribute access, and cfr then imports numpy.  cli loads when it is
+imported.  The names of cfr, series, validation and cli are imported from
+their own modules.  So schedule, simulate and compare-costs run only core,
+costs and cli, and only the commands that fit, fit-cfr and validate, load
+numpy.
 """
 
 import sys as _sys
@@ -39,4 +41,6 @@ def _lazy_submodule(name):
     return module
 
 
+series = _lazy_submodule("series")
+validation = _lazy_submodule("validation")
 cfr = _lazy_submodule("cfr")

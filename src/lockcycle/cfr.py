@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .core import _Record
 from .series import DailySeries, overlap
 
 __all__ = [
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CfrModel:
+class CfrModel(_Record):
     """Fitted (or assumed) delay-kernel parameters.
 
     delay_k is the dead time in days, decay_a the geometric decay in [0, 1),

@@ -17,7 +17,6 @@ mismatch), 3 validation ran but a tolerance check failed.
 """
 
 import argparse
-import csv
 import datetime as dt
 import json
 import sys
@@ -124,10 +123,12 @@ def _window(args, series, default_from=None, default_to=None):
     """
     lo = default_from if args.date_from is None else _parse_iso(args.date_from, "--from")
     hi = default_to if args.date_to is None else _parse_iso(args.date_to, "--to")
-    if args.date_to is None and hi is not None and lo > hi:
-        raise ValueError("--from %s is after the default --to %s" % (lo, hi))
-    if args.date_from is None and lo is not None and hi < lo:
-        raise ValueError("--to %s is before the default --from %s" % (hi, lo))
+    if lo is not None and hi is not None and lo > hi:
+        if args.date_to is None:
+            raise ValueError("--from %s is after the default --to %s" % (lo, hi))
+        if args.date_from is None:
+            raise ValueError("--to %s is before the default --from %s" % (hi, lo))
+        raise ValueError("--from %s is after --to %s" % (lo, hi))
     if lo or hi:
         first = max(s.start_date for s in series)
         last = min(s.end_date for s in series)
@@ -138,6 +139,12 @@ def _window(args, series, default_from=None, default_to=None):
             raise ValueError("--to %s is before %s" % (hi, span))
         series = [ser.window(s, lo or s.start_date, hi or s.end_date) for s in series]
     return lo, hi, series
+
+
+def _data_dir(args):
+    # the bundled default is resolved here, not in the parser, so that
+    # building the parser runs no data layer
+    return validation.default_data_dir() if args.data_dir is None else args.data_dir
 
 
 def _render(args, human, payload, header=("field", "value"), rows=None) -> None:
@@ -156,6 +163,8 @@ def _render(args, human, payload, header=("field", "value"), rows=None) -> None:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         write = lambda fh: fh.write(text)
     elif fmt == "csv":
+        import csv  # here, so json and human output never load it
+
         if rows is None:
             rows = [(k, v) for k, v in payload.items() if not isinstance(v, (list, dict))]
 
@@ -276,7 +285,7 @@ def cmd_compare_costs(args) -> int:
 
 
 def cmd_fit_cfr(args) -> int:
-    confirmed, deaths = ser.load_country(args.data_dir, args.country, ser.CUMULATIVE_KINDS[:2])
+    confirmed, deaths = ser.load_country(_data_dir(args), args.country, ser.CUMULATIVE_KINDS[:2])
     date_from, date_to, (new_cases, daily_deaths) = _window(
         args, (ser.difference(confirmed), ser.difference(deaths)),
         validation.FIT_FROM, validation.FIT_TO)
@@ -316,7 +325,8 @@ def cmd_fit_cfr(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    confirmed, deaths, recovered = ser.load_country(args.data_dir, args.country)
+    data_dir = _data_dir(args)
+    confirmed, deaths, recovered = ser.load_country(data_dir, args.country)
     derived = [
         confirmed,
         deaths,
@@ -327,7 +337,7 @@ def cmd_ingest(args) -> int:
     ]
     derived = _window(args, derived)[2]
 
-    human = ["ingested %s from %s" % (args.country, args.data_dir)]
+    human = ["ingested %s from %s" % (args.country, data_dir)]
     for s in derived:
         human.append("  %-22s %d days, %s..%s"
                      % (s.kind, len(s), s.start_date, s.end_date))
@@ -349,7 +359,8 @@ def cmd_ingest(args) -> int:
 def cmd_validate(args) -> int:
     if args.cfr is not None:
         validation.check_cfr(args.cfr, "--cfr")  # so the message names the flag
-    report, checks = validation.validate(args.data_dir, args.cfr)
+    data_dir = _data_dir(args)
+    report, checks = validation.validate(data_dir, args.cfr)
     cfr_source = "fitted" if args.cfr is None else "flag"
     payload = {
         "oc_window": [d.isoformat() for d in report.oc_window],
@@ -365,7 +376,7 @@ def cmd_validate(args) -> int:
         "checks": checks,
     }
     human = [
-        "two-cycle validation on %s" % args.data_dir,
+        "two-cycle validation on %s" % data_dir,
         "  open-first window   %s..%s  %s cases"
         % (report.oc_window[0], report.oc_window[1], _s3(report.oc_cases)),
         "  close-first window  %s..%s  %s cases"
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "from the extension when --format is absent)")
 
     def add_data_dir(sp):
-        sp.add_argument("--data-dir", dest="data_dir", default=validation.default_data_dir(),
+        sp.add_argument("--data-dir", dest="data_dir",
                         help="snapshot directory, default: bundled data")
 
     def add_data(sp):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_GAMMA",
@@ -58,8 +57,66 @@ def _require_in_range(what: str, results, low=0.0, **inputs) -> None:
                          % (what, ", ".join("%s=%r" % item for item in inputs.items())))
 
 
-@dataclass(frozen=True)
-class StrategyParams:
+class _Record:
+    """Base of the library's frozen records.
+
+    A subclass declares its fields as annotations, in constructor order; a
+    field given a value in the class body defaults to it.  The constructor
+    takes the fields by position or keyword, raises TypeError for a missing
+    or unknown one, then calls __post_init__, which may replace a field with
+    object.__setattr__.  Assignment raises AttributeError, and records
+    compare, hash and repr by their fields, as Name(field=value, ...).
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError("%s() takes %d arguments, %d were given" % (name, len(fields), len(args)))
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError("%s() got an unexpected keyword argument %r" % (name, key))
+            if key in values:
+                raise TypeError("%s() got multiple values for argument %r" % (name, key))
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                if key not in self._defaults:
+                    raise TypeError("%s() missing argument %r" % (name, key))
+                values[key] = self._defaults[key]
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _values(self):
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, self.__dict__[f]) for f in self._fields))
+
+
+class StrategyParams(_Record):
     """Parameters of a two-phase periodic control strategy.
 
     Two equivalent parameterisations are supported: reproduction numbers
@@ -119,8 +176,7 @@ class StrategyParams:
                    alpha=alpha, beta=beta)
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(_Record):
     """One control phase: a reproduction number held for a duration (days)."""
 
     rt: float
@@ -133,8 +189,7 @@ class Phase:
             raise ValueError("reproduction number must be non-negative")
 
 
-@dataclass(frozen=True)
-class PhaseSchedule:
+class PhaseSchedule(_Record):
     """An ordered sequence of phases making up one control cycle.
 
     Any number of phases with any non-negative reproduction numbers is
@@ -160,8 +215,7 @@ class PhaseSchedule:
         return cls((Phase(params.r_open, t_open), Phase(params.r_close, t_close)))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Sampled active-case curve plus its exact phase edges.
 
     times/active are the sampled grid, as tuples of floats.  phase_boundaries

@@ -11,9 +11,8 @@ period is gamma times the same area, which new_cases_over_window gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Trajectory, _require_in_range, _require_positive
+from .core import Trajectory, _Record, _require_in_range, _require_positive
 
 __all__ = [
     "CostReport",
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(_Record):
     """Per-strategy cost summary over one period.
 
     auc_active is in person-days and i_max is the curve's peak, so an

@@ -17,7 +17,8 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass
+
+from .core import _Record
 
 __all__ = [
     "KINDS",
@@ -62,8 +63,7 @@ JHU_FILENAMES = {
 }
 
 
-@dataclass(frozen=True)
-class DailySeries:
+class DailySeries(_Record):
     """A contiguous daily-sampled series starting at start_date.
 
     kind is one of KINDS.  values, given as any one-dimensional sequence of

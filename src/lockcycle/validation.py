@@ -15,10 +15,10 @@ import datetime as dt
 import json
 import math
 import os
-from dataclasses import dataclass
 
 from . import cfr as cfr_fit
 from . import series as ser
+from .core import _Record
 
 __all__ = ["OC_START", "CYCLE_SPLIT", "PERIOD_END", "ANCHORS", "FIT_FROM", "FIT_TO",
            "TOLERANCES", "ValidationReport", "default_data_dir", "verify_checksums",
@@ -53,8 +53,7 @@ TOLERANCES = (
 )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Outcome of the two-cycle validation on a snapshot.
 
     Windows are half-open [start, end) boundary pairs; case totals are the

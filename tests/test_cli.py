@@ -172,21 +172,25 @@ class TestIngest:
         assert min(dates) == "2020-08-30"
         assert max(dates) == "2020-12-16"
 
-    @pytest.mark.parametrize("command, flag, day, where", [
+    @pytest.mark.parametrize("command, flags, where", [
         # the daily series start a day after the cumulative ones, on 2020-01-23
-        ("ingest", "--from", "2030-01-01", "after %s" % SNAPSHOT_DATES),
-        ("ingest", "--to", "2019-01-01", "before %s" % SNAPSHOT_DATES),
-        ("ingest", "--to", "2020-01-22", "before %s" % SNAPSHOT_DATES),
+        ("ingest", "--from 2030-01-01", "after %s" % SNAPSHOT_DATES),
+        ("ingest", "--to 2019-01-01", "before %s" % SNAPSHOT_DATES),
+        ("ingest", "--to 2020-01-22", "before %s" % SNAPSHOT_DATES),
         # the other edge is fit-cfr's default, and the message says so
-        ("fit-cfr", "--from", "2030-01-01", "after the default --to 2020-12-29"),
-        ("fit-cfr", "--to", "2019-01-01", "before the default --from 2020-06-01"),
-        ("fit-cfr", "--from", "2020-12-30", "after the default --to 2020-12-29"),
-        ("fit-cfr", "--to", "2020-05-01", "before the default --from 2020-06-01"),
+        ("fit-cfr", "--from 2030-01-01", "after the default --to 2020-12-29"),
+        ("fit-cfr", "--to 2019-01-01", "before the default --from 2020-06-01"),
+        ("fit-cfr", "--from 2020-12-30", "after the default --to 2020-12-29"),
+        ("fit-cfr", "--to 2020-05-01", "before the default --from 2020-06-01"),
+        # both edges given, in the wrong order
+        ("ingest", "--from 2020-10-01 --to 2020-09-01", "after --to 2020-09-01"),
+        ("fit-cfr", "--from 2020-10-01 --to 2020-09-01", "after --to 2020-09-01"),
     ])
-    def test_window_outside_the_snapshot_names_its_flag(self, capsys, command, flag, day, where):
-        rc, out, err = run(capsys, command, flag, day)
+    def test_window_outside_the_snapshot_names_its_flag(self, capsys, command, flags, where):
+        argv = flags.split()
+        rc, out, err = run(capsys, command, *argv)
         assert (rc, out) == (2, "")
-        assert err == "error: %s %s is %s\n" % (flag, day, where)
+        assert err == "error: %s %s is %s\n" % (*argv[:2], where)
 
     def test_source_anomalies_are_noted(self, capsys):
         rc, out, err = run(capsys, "ingest")

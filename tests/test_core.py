@@ -114,6 +114,26 @@ def test_params_are_frozen(baseline):
         baseline.alpha = 1.0
 
 
+def test_records_construct_compare_and_repr_by_their_fields():
+    from lockcycle.cfr import CfrModel
+
+    phase = Phase(1.5, duration=10.0)
+    assert phase == Phase(rt=1.5, duration=10.0) != Phase(1.5, 11.0)
+    assert phase != (1.5, 10.0)
+    assert hash(phase) == hash(Phase(1.5, 10.0))
+    assert repr(phase) == "Phase(rt=1.5, duration=10.0)"
+    # __post_init__ still runs, and may replace a field
+    assert PhaseSchedule([(1.5, 10.0)]).phases == (phase,)
+    assert repr(CfrModel(3, 0.5, 0.01)) == ("CfrModel(delay_k=3, decay_a=0.5, scale_b=0.01, "
+                                            "sse=None, cv_a=None, cv_b=None, fitted_deaths=None)")
+    for args, kwargs in [((1.5,), {}), ((1.5, 10.0, 1.0), {}),
+                         ((1.5,), {"rt": 1.5, "duration": 10.0}), ((1.5, 10.0), {"days": 1.0})]:
+        with pytest.raises(TypeError):
+            Phase(*args, **kwargs)
+    with pytest.raises(AttributeError):
+        del phase.rt
+
+
 # --- phase lengths -----------------------------------------------------------
 
 def test_phase_lengths_baseline(baseline):
