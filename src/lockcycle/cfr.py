@@ -19,10 +19,13 @@ pass, over the grid decays next to a best one only, gives the profile's slope
 there.  Its sign at the best decay picks the half grid cell holding the
 minimum, and safeguarded Newton steps on the profile's slope refine all
 delays in lock step from that half's secant root, or from the search edge
-when the half ends on one.  The integer delay k with the smallest residual
-wins.  Each evaluation builds its block power matrices once, as strided
-views, and runs every filter pass it needs on them; the bundled Israel fit
-takes five evaluations.
+when the half ends on one.  A delay stops at its first Newton step shorter
+than _SHORT_STEP, which in the quadratic regime leaves an error of the
+order of its square.  The integer delay k with the smallest residual
+wins.  Each evaluation builds its block power matrices once, as read-only
+Toeplitz views of one ramp of powers, and runs every filter pass it needs on
+them; the grid's tables are built once per process.  The bundled Israel fit
+takes four evaluations.
 
 The input series hold plain floats.  fit turns each into an array once,
 smooths it with a trailing moving average and aligns the two on their
@@ -35,7 +38,6 @@ import datetime as dt
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import _Record
 from .series import DailySeries, overlap
@@ -89,22 +91,32 @@ def _delayed(values: np.ndarray, k: int) -> np.ndarray:
 _BLOCK = 32
 
 
-def _lower_powers(a: np.ndarray, size: int) -> np.ndarray:
-    """powers[..., j, i] = a**(i-j) for i >= j and 0 above, one read-only matrix per decay."""
-    ramp = np.zeros(a.shape + (2 * size - 1,))
-    ramp[..., size - 1:] = a[..., None] ** np.arange(size)
-    # entry (j, i) reads ramp[size-1+i-j] of [0]*(size-1) + a**(0..size-1)
-    return as_strided(ramp[..., size - 1:], a.shape + (size, size),
-                      ramp.strides[:-1] + (-ramp.itemsize, ramp.itemsize), writeable=False)
+def _lower_powers(powers: np.ndarray) -> np.ndarray:
+    """[..., j, i] = a**(i-j) for i >= j and 0 above, one read-only matrix per
+    decay, from powers[..., i] = a**i."""
+    lead, size = powers.shape[:-1], powers.shape[-1]
+    ramp = np.zeros(lead + (2 * size - 1,))
+    ramp[..., size - 1:] = powers
+    # entry (j, i) reads ramp[size-1+i-j] of [0]*(size-1) + a**(0..size-1);
+    # an empty ramp has no byte to start at
+    toeplitz = np.ndarray(lead + (size, size), float, ramp,
+                          (size - 1) * ramp.itemsize if ramp.size else 0,
+                          ramp.strides[:-1] + (-ramp.itemsize, ramp.itemsize))
+    toeplitz.flags.writeable = False
+    return toeplitz
+
+
+def _blocks(t: int) -> int:
+    return max(1, -(-t // _BLOCK))
 
 
 def _pole(a, t: int):
     """(inner, outer, carry) power tables of decays a for _one_pole over t
     days; passes that share decays and a length share one set."""
     a = np.asarray(a, dtype=float)
-    blocks = max(1, -(-t // _BLOCK))
-    return (_lower_powers(a, _BLOCK), _lower_powers(a ** _BLOCK, blocks),
-            a[..., None] ** np.arange(1, _BLOCK + 1))
+    powers = a[..., None] ** np.arange(_BLOCK + 1)
+    return (_lower_powers(powers[..., :_BLOCK]),
+            _lower_powers(powers[..., _BLOCK:] ** np.arange(_blocks(t))), powers[..., 1:])
 
 
 def _one_pole(x, pole) -> np.ndarray:
@@ -146,9 +158,11 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
 
 
 _GRID = (np.arange(50) + 0.5) / 50
+# _pole(_GRID, t) for the longest t so far, built once per process
+_GRID_POLE = list(_pole(_GRID, 1))
 _TOP = 1.0 - 1e-12  # a = 1 would give the kernel infinite mass
 _STEP_TOL = 1e-14
-_STALL = 1e-9
+_SHORT_STEP = 1e-7
 _MAX_STEPS = 100
 
 
@@ -186,6 +200,19 @@ def _profile_slopes(cases, ahead, mask, a):
     return slope, curvature
 
 
+def _grid_pole(t: int):
+    """_pole(_GRID, t) from the process's one set of grid tables; a series
+    longer than any before grows the outer table, and a shorter one reads
+    its leading blocks.  Threads need no lock: each slices the table it
+    checked or built, and a race only rebuilds one."""
+    inner, outer, carry = _GRID_POLE
+    blocks = _blocks(t)
+    if outer.shape[-1] < blocks:
+        # carry's last column is a**_BLOCK
+        outer = _GRID_POLE[1] = _lower_powers(carry[:, -1:] ** np.arange(blocks))
+    return inner, outer[:, :blocks, :blocks], carry
+
+
 def _grid_profiles(cases, ahead, ks):
     """Best grid index of every delay in ks, and the profile slopes (rows:
     _GRID, columns: ks) at the grid decays next to some delay's best one.
@@ -197,7 +224,7 @@ def _grid_profiles(cases, ahead, ks):
     is -2b(d.ds - b s.ds), 0 where b is not positive and NaN where unread.
     """
     end = len(cases) - 1 - ks  # the last state day with a death k days on
-    pole = _pole(_GRID, len(cases))
+    pole = _grid_pole(len(cases))
     states = _one_pole(cases, pole)
     p = states @ ahead.T
     q = np.cumsum(states * states, axis=1)[:, end]
@@ -229,10 +256,11 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     outward slope there collapses the bracket onto the edge.  All delays
     take Newton steps on the profile slope together, each falling back to
     bisection whenever its step would leave its bracket or its profile is
-    not convex there.  A row stops on a step below _STEP_TOL, or once the
-    Newton step its slope and curvature give, taken or rejected for leaving
-    the bracket, is below _STALL but not under half its previous step: its
-    slope is then rounding noise.
+    not convex there.  A row stops once it takes a Newton step shorter than
+    _SHORT_STEP: the profile is quadratic that close to its minimum, so the
+    step leaves an error of the order of its square, under 1e-12, and a
+    further evaluation would only confirm it.  A row also stops on any step,
+    Newton or bisection, below _STEP_TOL.
     """
     t = len(cases)
     days = np.arange(t)
@@ -253,7 +281,6 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
         secant = mid - slope_mid * (end - mid) / (slope_end - slope_mid)
     a = np.where(slope_mid == 0.0, mid, np.where(edge | outward, end, secant))
     rows = np.flatnonzero((slope_mid != 0.0) & ~outward)
-    last = np.full(len(ks), np.inf)
     for _ in range(_MAX_STEPS):
         if rows.size == 0:
             break
@@ -262,17 +289,15 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
         lo[rows] = lo_x = np.where(slope < 0.0, x, lo[rows])
         hi[rows] = hi_x = np.where(slope > 0.0, x, hi[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
-            shift = -slope / curvature
-        newton = np.clip(x + shift, lo_x, hi_x)
+            newton = np.clip(x - slope / curvature, lo_x, hi_x)
         # a converged step may round onto the bracket end it has just moved
         converged = np.abs(newton - x) <= _STEP_TOL
         usable = (curvature > 0.0) & (((newton > lo_x) & (newton < hi_x)) | converged)
-        a[rows] = step = np.where(usable, newton, 0.5 * (lo_x + hi_x))
-        # a Newton step that stops shrinking, taken or not, follows noise
-        stalled = (curvature > 0.0) & (np.abs(shift) < _STALL)
-        stalled &= np.abs(shift) >= 0.5 * last[rows]
-        last[rows] = np.abs(step - x)
-        rows = rows[(last[rows] > _STEP_TOL) & ~stalled]
+        a[rows] = np.where(usable, newton, 0.5 * (lo_x + hi_x))
+        step = np.abs(a[rows] - x)
+        # a short Newton step is taken in the quadratic regime, where it
+        # lands within about its square of the minimum
+        rows = rows[(step > _STEP_TOL) & ~(usable & (step < _SHORT_STEP))]
 
     states = _one_pole(cases, _pole(a, t)) * mask
     b, _ = _best_scale(states, ahead)

@@ -144,7 +144,7 @@ def _window(args, series, default_from=None, default_to=None):
 def _data_dir(args):
     # the bundled default is resolved here, not in the parser, so that
     # building the parser runs no data layer
-    return validation.default_data_dir() if args.data_dir is None else args.data_dir
+    return ser.default_data_dir() if args.data_dir is None else args.data_dir
 
 
 def _render(args, human, payload, header=("field", "value"), rows=None) -> None:

@@ -25,6 +25,7 @@ __all__ = [
     "CUMULATIVE_KINDS",
     "DailySeries",
     "parse_jhu_timeseries",
+    "default_data_dir",
     "load_country",
     "ingest_report",
     "difference",
@@ -222,6 +223,11 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
                             "" if province is None else " (province %r)" % province,
                             path, ", ".join(sorted(seen))))
     return DailySeries(dates[0], total, kind)
+
+
+def default_data_dir() -> str:
+    """The snapshot bundled with the package."""
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def load_country(data_dir, country: str, kinds=CUMULATIVE_KINDS) -> list:

@@ -21,8 +21,7 @@ from . import series as ser
 from .core import _Record
 
 __all__ = ["OC_START", "CYCLE_SPLIT", "PERIOD_END", "ANCHORS", "FIT_FROM", "FIT_TO",
-           "TOLERANCES", "ValidationReport", "default_data_dir", "verify_checksums",
-           "check_cfr", "validate"]
+           "TOLERANCES", "ValidationReport", "verify_checksums", "check_cfr", "validate"]
 
 # The two cycles as boundary dates: open-first [OC_START, CYCLE_SPLIT),
 # close-first [CYCLE_SPLIT, PERIOD_END).
@@ -80,11 +79,6 @@ class ValidationReport(_Record):
     @property
     def death_ratio(self) -> float:
         return self.oc_cases / self.co_cases
-
-
-def default_data_dir() -> str:
-    """The snapshot bundled with the package."""
-    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def verify_checksums(data_dir):

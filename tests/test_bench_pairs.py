@@ -55,7 +55,28 @@ def test_summary_of_a_worse_change_claims_nothing(tool):
     for name in BETTER:
         assert summary[name]["pairs_won"] == 0
         assert summary[name]["beats_parent_iqr"] is False
+        assert summary[name]["claim_met"] is False
     assert summary["failed"] == {"parent": 4, "change": 0}
+
+
+def test_a_claim_needs_nine_pairs_in_ten_and_the_parent_spread(tool):
+    parent = [100.0, 102.0, 104.0, 106.0, 108.0, 110.0, 112.0, 114.0, 116.0, 118.0]
+
+    def claim(change):
+        pairs = [(result(p, 5.0), result(c, 5.0)) for p, c in zip(parent, change)]
+        return tool.summarize(pairs, BETTER)["ops_per_s"]
+
+    # nine wins, and the median gain of 18 exceeds the parent's spread of 11
+    ops = claim([p + 20.0 for p in parent[:9]] + [parent[9] - 1.0])
+    assert (ops["pairs_won"], ops["beats_parent_iqr"], ops["claim_met"]) == (9, True, True)
+    # eight wins are too few, however far apart the medians are
+    ops = claim([p + 20.0 for p in parent[:8]] + [p - 1.0 for p in parent[8:]])
+    assert (ops["pairs_won"], ops["beats_parent_iqr"], ops["claim_met"]) == (8, True, False)
+    # every pair won, but by less than the parent's spread
+    ops = claim([p + 1.0 for p in parent])
+    assert (ops["pairs_won"], ops["beats_parent_iqr"], ops["claim_met"]) == (10, False, False)
+    # equal values are ties, which count as no win
+    assert claim(parent)["claim_met"] is False
 
 
 def test_single_pair_has_its_value_as_every_quartile(tool):

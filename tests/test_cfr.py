@@ -145,7 +145,7 @@ def test_one_pole_matches_direct_convolution(days):
                                           ([[0.5, 0.0], [0.999999, 0.9]], 7)])
 def test_lower_powers_are_the_masked_powers(decays, size):
     a = np.asarray(decays, dtype=float)
-    powers = _lower_powers(a, size)
+    powers = _lower_powers(a[..., None] ** np.arange(size))
     lag = np.arange(size) - np.arange(size)[:, None]  # i - j at [j, i]
     with np.errstate(divide="ignore"):  # 0**negative, masked out
         expected = np.where(lag >= 0, a[..., None, None] ** lag, 0.0)
@@ -300,11 +300,11 @@ def slope_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("k_max", [15, 30])
-def test_israel_fit_takes_five_evaluations(k_max, data_dir, slope_calls):
+def test_israel_fit_takes_four_evaluations(k_max, data_dir, slope_calls):
     cases, deaths = israel_window(data_dir)
     a, _, _ = _fit_decays(cases, deaths, np.arange(0, k_max + 1))
     assert a[3] == pytest.approx(0.9393724244736548, rel=1e-12)
-    assert len(slope_calls) <= 5
+    assert len(slope_calls) <= 4
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -320,6 +320,28 @@ def test_noisy_fit_ends_without_a_run_of_one_row_calls(seed, slope_calls):
     for r in np.flatnonzero((a > 0.0) & (a < _TOP)):
         lo, hi = max(0.0, a[r] - 0.02), min(_TOP, a[r] + 0.02)
         a_ref, _ = oracles.profile_optimum(list(cases), list(deaths), int(ks[r]), lo, hi)
+        assert abs(a[r] - a_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_newton_stops_at_the_profile_optimum_on_flat_profiles(seed, slope_calls):
+    # heavy noise on short series flattens the profiles that the early stop
+    # on a short Newton step runs on
+    rng = np.random.default_rng([seed, 14])
+    days = int(rng.integers(120, 201))
+    cases = smooth_case_curve(days, rng)
+    k, decay = int(rng.integers(0, 16)), float(rng.uniform(0.3, 0.95))
+    deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.4, days))
+    ks = np.arange(0, 16)
+    a, _, _ = _fit_decays(cases, deaths, ks)
+    assert len(slope_calls) <= 4, slope_calls  # five before the early stop
+    interior = np.flatnonzero((a > 0.0) & (a < _TOP))
+    assert interior.size >= 8
+    for r in interior:
+        # a bracket this narrow still fails unless the slope changes sign
+        # inside it, that is unless a[r] is within 1e-6 of a minimum
+        a_ref, _ = oracles.profile_optimum(list(cases), list(deaths), int(ks[r]),
+                                           a[r] - 1e-6, a[r] + 1e-6)
         assert abs(a[r] - a_ref) <= 1e-12
 
 

@@ -21,7 +21,7 @@ import sys
 import pytest
 
 from lockcycle.cli import main
-from lockcycle.validation import default_data_dir
+from lockcycle.series import default_data_dir
 
 GOLDEN = {
     "schedule": "71ce9474f52ac04deeb597cad96a25c0af2b20f76af41f1bda58e536e9c14049",

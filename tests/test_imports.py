@@ -2,9 +2,9 @@
 
 The package loads only its numpy-free core and costs modules and exports
 their names.  series, validation and cfr are lazy modules, so schedule,
-compare-costs and simulate run none of them, and every command but fit-cfr
-and validate runs without numpy.  No command loads dataclasses or inspect,
-and nothing heavier than numpy is ever imported.
+compare-costs and simulate run none of them, ingest runs only series, and
+every command but fit-cfr and validate runs without numpy.  No command loads
+dataclasses or inspect, and nothing heavier than numpy is ever imported.
 """
 
 import contextlib
@@ -55,6 +55,7 @@ def test_commands_that_fit_nothing_never_load_numpy_or_dataclasses(command, fmt)
     heavy, ran = (line.split() for line in python("-c", code)[0].splitlines())
     if command == "ingest":  # it parses the snapshot with csv
         assert heavy == ["csv"]
+        assert ran == ["lockcycle.series"]
     else:
         assert heavy == (["csv"] if "csv" in fmt else [])
         assert ran == []

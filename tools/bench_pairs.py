@@ -15,9 +15,10 @@ The output file holds each side's git revision, a digest of its src/ tree
 and its src_lines, then one entry per set of pairs (workload, seed, seconds,
 trace) with every run's environment line and last JSON line, and a summary
 per metric: each side's median and quartiles, the pairs the change won (ties
-count for neither) and whether the medians differ, in the metric's better
+count for neither), whether the medians differ, in the metric's better
 direction from BENCHMARK.json, by more than the parent's interquartile
-spread.  The file is rewritten after every pair.  A file that already holds
+spread, and whether both hold strongly enough to claim a gain: at least
+nine pairs in ten won and the medians apart by more than that spread.  The file is rewritten after every pair.  A file that already holds
 runs of the same two source trees keeps them and gains the new set, so one
 file carries several workloads and seeds.
 """
@@ -111,15 +112,18 @@ def summarize(pairs, better):
         change = [c["metrics"][name]["value"] for _, c in pairs]
         old, new = _spread(parent), _spread(change)
         gain = sign * (new["median"] - old["median"])
+        won = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+        beats_iqr = gain > old["q3"] - old["q1"]
         summary[name] = {
             "unit": pairs[0][0]["metrics"][name]["unit"],
             "better": better[name],
             "parent": old,
             "change": new,
             "change_over_parent": new["median"] / old["median"] if old["median"] else None,
-            "pairs_won": sum(sign * (c - p) > 0.0 for p, c in zip(parent, change)),
+            "pairs_won": won,
             "pairs": len(pairs),
-            "beats_parent_iqr": gain > old["q3"] - old["q1"],
+            "beats_parent_iqr": beats_iqr,
+            "claim_met": 10 * won >= 9 * len(pairs) and beats_iqr,
         }
     summary["failed"] = {"parent": sum(p["failed"] for p, _ in pairs),
                          "change": sum(c["failed"] for _, c in pairs)}
