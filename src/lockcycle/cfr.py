@@ -154,7 +154,7 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
     # s_k(t) = s_0(t-k): the recursion is linear, time-invariant and starts
     # from zero, so every delay shares the zero-delay state
     s = _delayed(_one_pole(values, _pole(model.decay_a, len(values))), model.delay_k)
-    return DailySeries(new_cases.start_date, model.scale_b * s, "daily_deaths")
+    return DailySeries(new_cases.start_date, (model.scale_b * s).tolist(), "daily_deaths")
 
 
 _GRID = (np.arange(50) + 0.5) / 50
@@ -241,7 +241,7 @@ def _grid_profiles(cases, ahead, ks):
 
 
 def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
-    """Best (a, b, sse) arrays, one entry per delay in ks.
+    """Best (a, b, sse) arrays and the masked states s_0 at a, one entry per delay in ks.
 
     Every delay works on the zero-delay state s_0: row j of `ahead` holds the
     deaths k_j days after each state day and `mask` the state days that have
@@ -304,7 +304,7 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     resid = ahead - b[:, None] * states
     # deaths before the delay face a zero prediction
     head = np.concatenate([[0.0], np.cumsum(deaths * deaths)])[ks]
-    return a, b, head + _rowdot(resid, resid)
+    return a, b, head + _rowdot(resid, resid), states
 
 
 def _moving_average(values, window_days: int) -> np.ndarray:
@@ -371,21 +371,20 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
                         fitted_deaths=DailySeries(start, (0.0,) * len(d), "daily_deaths"))
 
     ks = np.arange(k_lo, k_hi + 1)
-    a_by_k, b_by_k, sse_by_k = _fit_decays(n, d, ks)
+    a_by_k, b_by_k, sse_by_k, states = _fit_decays(n, d, ks)
     best = 0
     for j in range(1, len(ks)):
         if sse_by_k[j] < sse_by_k[best] * (1.0 - 1e-12):
             best = j
     k, a, b, sse = int(ks[best]), float(a_by_k[best]), float(b_by_k[best]), float(sse_by_k[best])
-    # the state for delay k and its a-derivative, on one set of power tables
-    pole = _pole(a, len(n))
-    s = _delayed(_one_pole(n, pole), k)
-    cv_a, cv_b = _cvs(s, _one_pole(_delayed(s, 1), pole), d, a, b)
-    fitted = DailySeries(start, b * s, "daily_deaths")
+    # the search's final state for delay k; only its a-derivative takes a pass
+    s = _delayed(states[best], k)
+    cv_a, cv_b = _cvs(s, _one_pole(_delayed(s, 1), _pole(a, len(n))), sse, a, b)
+    fitted = DailySeries(start, (b * s).tolist(), "daily_deaths")
     return CfrModel(k, a, b, sse=sse, cv_a=cv_a, cv_b=cv_b, fitted_deaths=fitted)
 
 
-def _cvs(s, ds_da, deaths, a: float, b: float):
+def _cvs(s, ds_da, sse: float, a: float, b: float):
     t = len(s)
     if t - 2 <= 0:
         return None, None
@@ -398,8 +397,7 @@ def _cvs(s, ds_da, deaths, a: float, b: float):
     scale = max(g11 * g22, 1e-300)
     if det <= 1e-14 * scale:
         return None, None
-    resid = deaths - b * s
-    sigma2 = float(np.dot(resid, resid)) / (t - 2)
+    sigma2 = sse / (t - 2)
     var_a = sigma2 * g22 / det
     var_b = sigma2 * g11 / det
     cv_a = None if a == 0.0 else 100.0 * math.sqrt(max(var_a, 0.0)) / abs(a)

@@ -288,7 +288,7 @@ def cmd_fit_cfr(args) -> int:
     confirmed, deaths = ser.load_country(_data_dir(args), args.country, ser.CUMULATIVE_KINDS[:2])
     date_from, date_to, (new_cases, daily_deaths) = _window(
         args, (ser.difference(confirmed), ser.difference(deaths)),
-        validation.FIT_FROM, validation.FIT_TO)
+        ser.FIT_FROM, ser.FIT_TO)
     model = cfr_fit.fit(new_cases, daily_deaths, k_range=(args.k_min, args.k_max),
                         smooth_window=args.smooth_window)
     payload = {

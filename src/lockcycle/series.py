@@ -26,6 +26,7 @@ __all__ = [
     "DailySeries",
     "parse_jhu_timeseries",
     "default_data_dir",
+    "FIT_FROM", "FIT_TO",
     "load_country",
     "ingest_report",
     "difference",
@@ -67,8 +68,8 @@ JHU_FILENAMES = {
 class DailySeries(_Record):
     """A contiguous daily-sampled series starting at start_date.
 
-    kind is one of KINDS.  values, given as any one-dimensional sequence of
-    numbers (a numpy array too), is stored as a tuple of floats.
+    kind is one of KINDS.  values, any one-dimensional sequence of numbers,
+    is stored as a tuple of floats in plain Python; pass an array's tolist().
     """
 
     start_date: dt.date
@@ -82,13 +83,10 @@ class DailySeries(_Record):
         # a string is a sequence of one-character strings that float() reads
         if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
             raise ValueError("values must be one-dimensional")
-        if hasattr(values, "astype"):  # an array converts in C-level passes
-            values = tuple(values.astype(float).tolist())
-        else:
-            try:
-                values = tuple(map(float, values))
-            except TypeError:  # a scalar, or an item that is itself a sequence
-                raise ValueError("values must be one-dimensional") from None
+        try:
+            values = tuple(map(float, values))
+        except TypeError:  # a scalar, or an item that is itself a sequence
+            raise ValueError("values must be one-dimensional") from None
         object.__setattr__(self, "values", values)
 
     def __len__(self):
@@ -228,6 +226,11 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
 def default_data_dir() -> str:
     """The snapshot bundled with the package."""
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+# window the case fatality rate is fitted on
+FIT_FROM = dt.date(2020, 6, 1)
+FIT_TO = dt.date(2020, 12, 29)
 
 
 def load_country(data_dir, country: str, kinds=CUMULATIVE_KINDS) -> list:

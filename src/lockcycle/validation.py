@@ -20,8 +20,8 @@ from . import cfr as cfr_fit
 from . import series as ser
 from .core import _Record
 
-__all__ = ["OC_START", "CYCLE_SPLIT", "PERIOD_END", "ANCHORS", "FIT_FROM", "FIT_TO",
-           "TOLERANCES", "ValidationReport", "verify_checksums", "check_cfr", "validate"]
+__all__ = ["OC_START", "CYCLE_SPLIT", "PERIOD_END", "ANCHORS", "TOLERANCES",
+           "ValidationReport", "verify_checksums", "check_cfr", "validate"]
 
 # The two cycles as boundary dates: open-first [OC_START, CYCLE_SPLIT),
 # close-first [CYCLE_SPLIT, PERIOD_END).
@@ -36,10 +36,6 @@ ANCHORS = (
     (dt.date(2020, 11, 16), 8697.0),
     (dt.date(2020, 12, 16), 20791.0),
 )
-
-# window the case fatality rate is fitted on
-FIT_FROM = dt.date(2020, 6, 1)
-FIT_TO = dt.date(2020, 12, 29)
 
 # (name, center, tolerance, kind); rel = fraction of center, abs = plain band
 TOLERANCES = (
@@ -129,10 +125,10 @@ def check_cfr(cfr, name="cfr") -> None:
 def validate(data_dir, cfr=None):
     """Run the two-cycle validation on the Israel rows of a snapshot.
 
-    cfr, when given, replaces the case fatality rate fitted over
-    FIT_FROM..FIT_TO; it must pass check_cfr.  Then verify_checksums must
-    find no problem, or ValueError is raised with one "snapshot rejected:"
-    line per problem.  Both checks run before any data file is read.
+    cfr, when given, replaces the case fatality rate cfr.fit finds on its
+    defaults over series.FIT_FROM..FIT_TO; it must pass check_cfr.  Then
+    verify_checksums must find no problem, or ValueError is raised with one
+    "snapshot rejected:" line per problem.  Both run before any file is read.
 
     Returns (report, checks).  Each check is a dict with name, value, low,
     high and ok: first the exact active-case ANCHORS, then the TOLERANCES
@@ -148,9 +144,9 @@ def validate(data_dir, cfr=None):
     oc_cases = confirmed.value_on(CYCLE_SPLIT) - confirmed.value_on(OC_START)
     co_cases = confirmed.value_on(PERIOD_END) - confirmed.value_on(CYCLE_SPLIT)
     if cfr is None:
-        new_cases = ser.window(ser.difference(confirmed), FIT_FROM, FIT_TO)
-        daily_deaths = ser.window(ser.difference(deaths), FIT_FROM, FIT_TO)
-        cfr = cfr_fit.fit(new_cases, daily_deaths, k_range=(0, 15), smooth_window=7).cfr
+        new_cases = ser.window(ser.difference(confirmed), ser.FIT_FROM, ser.FIT_TO)
+        daily_deaths = ser.window(ser.difference(deaths), ser.FIT_FROM, ser.FIT_TO)
+        cfr = cfr_fit.fit(new_cases, daily_deaths).cfr
     two_cycles = ser.window(active, OC_START, PERIOD_END)
     report = ValidationReport(
         oc_window=(OC_START, CYCLE_SPLIT),

@@ -22,8 +22,7 @@ import lockcycle.costs as costs
 import lockcycle.series as ser
 import oracles
 from lockcycle.cli import main as cli_main
-from lockcycle.validation import FIT_FROM, FIT_TO
-from lockcycle.series import JHU_FILENAMES, default_data_dir
+from lockcycle.series import FIT_FROM, FIT_TO, JHU_FILENAMES, default_data_dir
 
 
 class _criterion:

@@ -9,8 +9,7 @@ import lockcycle.series as ser
 from lockcycle.cfr import CfrModel, fit as fit_cfr, predict_deaths
 from lockcycle.cfr import (_GRID, _TOP, _delayed, _fit_decays, _grid_profiles, _lower_powers,
                            _cvs, _moving_average, _one_pole, _pole, _profile_slopes)
-from lockcycle.series import DailySeries
-from lockcycle.validation import FIT_FROM, FIT_TO
+from lockcycle.series import FIT_FROM, FIT_TO, DailySeries
 
 import oracles
 
@@ -45,12 +44,17 @@ def rows_ahead(deaths, ks):
     return ahead, mask
 
 
-def israel_window(data_dir):
-    # the fit's default inputs: the validation window, smoothed over 7 days
+def israel_series(data_dir):
+    # daily cases and deaths over the fit window
     confirmed, deaths = (ser.parse_jhu_timeseries(os.path.join(data_dir, ser.JHU_FILENAMES[kind]),
                                                   "Israel", kind)
                          for kind in ("confirmed_cumulative", "deaths_cumulative"))
-    windows = [ser.window(ser.difference(c), FIT_FROM, FIT_TO) for c in (confirmed, deaths)]
+    return [ser.window(ser.difference(c), FIT_FROM, FIT_TO) for c in (confirmed, deaths)]
+
+
+def israel_window(data_dir):
+    # the fit's default inputs: the fit window, smoothed over 7 days
+    windows = israel_series(data_dir)
     assert len({(s.start_date, len(s)) for s in windows}) == 1  # already aligned
     return [_moving_average(s.values, 7) for s in windows]
 
@@ -232,7 +236,7 @@ def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, cell):
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.05, 150))
     ks = np.arange(0, 9)
     best, _ = _grid_profiles(cases, rows_ahead(deaths, ks)[0], ks)
-    a, b, _ = _fit_decays(cases, deaths, ks)
+    a, b, _ = _fit_decays(cases, deaths, ks)[:3]
     lo, hi = (0.0, _GRID[1]) if cell == 0 else (_GRID[-2], _TOP)
     # every delay whose minimum lies inside that cell, off the edge itself
     inside = np.flatnonzero((best == cell) & (a > 0.0) & (a < _TOP))
@@ -270,7 +274,7 @@ def test_edge_half_cell_minimum(where):
     cell, edge = (0, 0.0) if where.endswith("zero") else (len(_GRID) - 1, _TOP)
     assert best[0] == cell
     assert table[cell, 0] > 0.0 if edge == 0.0 else table[cell, 0] < 0.0
-    (a,), (b,), (sse,) = _fit_decays(cases, deaths, ks)
+    (a,), (b,), (sse,) = _fit_decays(cases, deaths, ks)[:3]
     if where.startswith("inside"):
         lo, hi = sorted((edge, _GRID[cell]))
         a_ref, b_ref = oracles.profile_optimum(list(cases), list(deaths), k, lo, hi)
@@ -302,7 +306,7 @@ def slope_calls(monkeypatch):
 @pytest.mark.parametrize("k_max", [15, 30])
 def test_israel_fit_takes_four_evaluations(k_max, data_dir, slope_calls):
     cases, deaths = israel_window(data_dir)
-    a, _, _ = _fit_decays(cases, deaths, np.arange(0, k_max + 1))
+    a, _, _ = _fit_decays(cases, deaths, np.arange(0, k_max + 1))[:3]
     assert a[3] == pytest.approx(0.9393724244736548, rel=1e-12)
     assert len(slope_calls) <= 4
 
@@ -314,7 +318,7 @@ def test_noisy_fit_ends_without_a_run_of_one_row_calls(seed, slope_calls):
     k, decay = seed, 0.5 + 0.08 * seed
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.1, 150))
     ks = np.arange(0, 11)
-    a, _, _ = _fit_decays(cases, deaths, ks)
+    a, _, _ = _fit_decays(cases, deaths, ks)[:3]
     ones = len(slope_calls) - len(np.trim_zeros(np.array(slope_calls) != 1, "b"))
     assert ones <= 2, slope_calls
     for r in np.flatnonzero((a > 0.0) & (a < _TOP)):
@@ -333,7 +337,7 @@ def test_newton_stops_at_the_profile_optimum_on_flat_profiles(seed, slope_calls)
     k, decay = int(rng.integers(0, 16)), float(rng.uniform(0.3, 0.95))
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.4, days))
     ks = np.arange(0, 16)
-    a, _, _ = _fit_decays(cases, deaths, ks)
+    a, _, _ = _fit_decays(cases, deaths, ks)[:3]
     assert len(slope_calls) <= 4, slope_calls  # five before the early stop
     interior = np.flatnonzero((a > 0.0) & (a < _TOP))
     assert interior.size >= 8
@@ -394,6 +398,27 @@ def test_fit_reports_residual_and_prediction():
     aligned = deaths_s[(fitted.start_date - START).days - 6:]
     sse = float(np.sum((np.asarray(fitted.values) - aligned[:len(fitted)]) ** 2))
     assert sse == pytest.approx(model.sse, rel=1e-9)
+
+
+@pytest.mark.parametrize("source", ["israel", "noisy"])
+def test_fitted_deaths_are_the_prediction_on_the_fitted_cases(source, data_dir):
+    # fit takes its fitted deaths from the search's batched final pass; they
+    # must be what the single-decay filter makes of the smoothed cases
+    if source == "israel":
+        cases, deaths = israel_series(data_dir)
+    else:
+        rng = np.random.default_rng(23)
+        curve = smooth_case_curve(150, rng)
+        noise = np.exp(rng.normal(0.0, 0.1, 150))
+        cases = make_cases(curve)
+        deaths = make_deaths(oracles.convolve_direct(curve, 4, 0.85, 0.003) * noise)
+    model = fit_cfr(cases, deaths)
+    fitted = model.fitted_deaths
+    # the smoothed cases start 6 days after the raw ones
+    skip = (fitted.start_date - cases.start_date).days - 6
+    smoothed = _moving_average(cases.values, 7)[skip:skip + len(fitted)]
+    predicted = predict_deaths(model, DailySeries(fitted.start_date, smoothed, "new_cases"))
+    assert fitted.values == pytest.approx(predicted.values, rel=1e-12, abs=0.0)
 
 
 def test_fit_input_validation():
@@ -505,7 +530,8 @@ def test_cvs_degenerate_inputs():
         # at delay 0, from the state and its a-derivative, as fit builds them
         pole = _pole(a, len(cases))
         s = _one_pole(cases, pole)
-        return _cvs(s, _one_pole(_delayed(s, 1), pole), deaths, a, b)
+        resid = deaths - b * s
+        return _cvs(s, _one_pole(_delayed(s, 1), pole), float(resid @ resid), a, b)
 
     assert cvs(np.ones(1), np.ones(1), 0.5, 0.1) == (None, None)
     # zero state gives a singular normal matrix

@@ -2,10 +2,11 @@
 
 A change that means to keep the output must keep these digests.  The table
 covers the human summary of all six commands and the json and csv documents
-of schedule, compare-costs and ingest.  The full-precision fit-cfr, simulate
-and validate documents are left out: their low bits follow numpy's exp and
-the BLAS build, so the same code can print other bytes on another machine.
-Their human summaries show three significant figures and are pinned.
+of schedule, simulate, compare-costs and ingest, which need no numpy.  The
+full-precision fit-cfr and validate documents are left out: their low bits
+follow the BLAS build of numpy's matrix products, so the same code can print
+other bytes on another machine.  Their human summaries show three
+significant figures and are pinned.
 
 The bundled data directory is an absolute path and appears in the ingest and
 validate summaries; it is replaced by {data_dir} before hashing.
@@ -28,6 +29,8 @@ GOLDEN = {
     "schedule --format json": "afc0861bf2a54b490c77a8ac5be4257ae847602d08258b8dc7d41e52b49c951e",
     "schedule --format csv": "e74b32866d8dff5c9645c9b9748d9110d066590687b1534ef2513cdd67a29b1a",
     "simulate": "c21ea7392bd03204c2a9e31a5247429202a87856993421502774f8562f7e1e1d",
+    "simulate --format json": "cc488a68782255f0aeeb805bba3ee68961b0c618a05d7ed407b1c479b5e3eb8f",
+    "simulate --format csv": "ca6d5e889206d796d4250b3ff05e225a87107d311c2917f07c59568cc9880f3a",
     "simulate --order co": "8220a2e15059bf21ef5eebfbcb9d372a927593c3bf644829ce7f6b1cb1a13dd7",
     "simulate --order oc-then-co": "cf8351965283ae6de3bc1f4551377115d00198c25927f20eb75b34d69e05e04e",
     "simulate --order oc-then-co --step 0.37":

@@ -2,8 +2,9 @@
 
 The package loads only its numpy-free core and costs modules and exports
 their names.  series, validation and cfr are lazy modules, so schedule,
-compare-costs and simulate run none of them, ingest runs only series, and
-every command but fit-cfr and validate runs without numpy.  No command loads
+compare-costs and simulate run none of them, ingest and fit-cfr leave
+validation unrun, and every command but fit-cfr and validate runs without
+numpy.  No command loads
 dataclasses or inspect, and nothing heavier than numpy is ever imported.
 """
 
@@ -76,6 +77,18 @@ def test_fitting_commands_load_numpy(command):
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert main(%r) == 0" % [command])
     assert "numpy" in loaded(("numpy",), setup)
+
+
+@pytest.mark.parametrize("command", ["fit-cfr", "validate"])
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
+def test_only_validate_runs_validation(command, fmt):
+    # fit-cfr reads its window from series; validation stays a lazy stub
+    code = ("import contextlib, io, sys, types\nfrom lockcycle.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(%r) == 0\n"
+            "print(type(sys.modules['lockcycle.validation']) is types.ModuleType)"
+            % [command, *fmt])
+    assert python("-c", code)[0].strip() == str(command == "validate")
 
 
 @pytest.mark.parametrize("command", ["schedule", "compare-costs"])

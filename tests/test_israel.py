@@ -14,11 +14,9 @@ import pytest
 
 import lockcycle.series as ser
 from lockcycle.cfr import _moving_average, fit as fit_cfr
-from lockcycle.series import parse_jhu_timeseries
+from lockcycle.series import FIT_FROM, FIT_TO, parse_jhu_timeseries
 from lockcycle.validation import (
     CYCLE_SPLIT,
-    FIT_FROM,
-    FIT_TO,
     OC_START,
     PERIOD_END,
     validate,

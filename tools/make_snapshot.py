@@ -35,10 +35,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.path.join(HERE, os.pardir, "src", "lockcycle", "data")
 sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
-# the cycle windows, anchors, fit window and file names the library checks against
-from lockcycle.series import CUMULATIVE_KINDS, JHU_FILENAMES  # noqa: E402
-from lockcycle.validation import (  # noqa: E402
-    ANCHORS, CYCLE_SPLIT, FIT_FROM, FIT_TO, OC_START, PERIOD_END)
+# the fit window and file names from series, and the cycle windows and
+# anchors from validation: the library fits and checks against these
+from lockcycle.series import CUMULATIVE_KINDS, FIT_FROM, FIT_TO, JHU_FILENAMES  # noqa: E402
+from lockcycle.validation import ANCHORS, CYCLE_SPLIT, OC_START, PERIOD_END  # noqa: E402
 
 START = dt.date(2020, 1, 22)
 END = dt.date(2020, 12, 31)
@@ -233,10 +233,10 @@ def check_fit(n, deaths_cum):
     dead = DailySeries(START, deaths_cum, "deaths_cumulative")
     cases = window(difference(conf), FIT_FROM, FIT_TO)
     deaths = window(difference(dead), FIT_FROM, FIT_TO)
-    model = fit(cases, deaths, k_range=(0, 15), smooth_window=7)
+    model = fit(cases, deaths)
 
     # margin of the delay choice against the neighbours
-    sse = {k: fit(cases, deaths, k_range=(k, k), smooth_window=7).sse
+    sse = {k: fit(cases, deaths, k_range=(k, k)).sse
            for k in (model.delay_k - 1, model.delay_k, model.delay_k + 1) if k >= 0}
     return model, sse
 
