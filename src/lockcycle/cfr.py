@@ -14,18 +14,20 @@ decay a the scale b is the closed-form least-squares solution, leaving the
 one-dimensional profile SSE(a) = |d|^2 - (d.s)^2/(s.s) for each delay.  The
 recursion starts from zero state, so the state for delay k is the zero-delay
 state shifted by k days and one filter pass per decay serves every delay.  A
-50-point grid scan on (0, 1) finds each delay's best grid decay, and a second
-pass, over the grid decays next to a best one only, gives the profile's slope
-there.  Its sign at the best decay picks the half grid cell holding the
-minimum, and safeguarded Newton steps on the profile's slope refine all
-delays in lock step from that half's secant root, or from the search edge
-when the half ends on one.  A delay stops at its first Newton step shorter
-than _SHORT_STEP, which in the quadratic regime leaves an error of the
-order of its square.  The integer delay k with the smallest residual
-wins.  Each evaluation builds its block power matrices once, as read-only
-Toeplitz views of one ramp of powers, and runs every filter pass it needs on
-them; the grid's tables are built once per process.  The bundled Israel fit
-takes four evaluations.
+50-point grid scan on (0, 1) finds each delay's best grid decay, whose two
+neighbours bracket the minimum.  Safeguarded Newton steps on the profile's
+slope refine all delays in lock step, each from the vertex of the parabola
+through the grid's explained squares (d.s)^2/(s.s) at its best decay and
+the two neighbours, or from the search edge when the best decay is a grid
+end.  The vertex is rounded to 1e-9, so that the grid's matrix product,
+which rounds differently for one delay than for many, leaves each delay's
+fit the same however many delays are searched.  A delay stops at its first
+Newton step shorter than _SHORT_STEP, which in the quadratic regime leaves
+an error of the order of its square.  The integer delay k with the smallest
+residual wins.  Each evaluation builds its block power matrices once, as
+read-only Toeplitz views of one ramp of powers, and runs every filter pass it
+needs on them; the grid's tables are built once per process.  The bundled
+Israel fit takes four evaluations.
 
 The input series hold plain floats.  fit turns each into an array once,
 smooths it with a trailing moving average and aligns the two on their
@@ -214,30 +216,17 @@ def _grid_pole(t: int):
 
 
 def _grid_profiles(cases, ahead, ks):
-    """Best grid index of every delay in ks, and the profile slopes (rows:
-    _GRID, columns: ks) at the grid decays next to some delay's best one.
-
-    One filter pass gives the grid states s, whose explained square
-    (d.s)^2/(s.s) picks each delay's best grid decay.  A second pass on the
-    same powers gives the a-derivative ds at the grid decays next to a best
-    one only, the entries _fit_decays reads; with b = (d.s)/(s.s) the slope
-    is -2b(d.ds - b s.ds), 0 where b is not positive and NaN where unread.
-    """
-    end = len(cases) - 1 - ks  # the last state day with a death k days on
+    """Explained squares (d.s)^2/(s.s) from one filter pass (rows: _GRID,
+    columns: ks), 0 where no scale b > 0 fits.  _fit_decays starts Newton at
+    the vertex of their parabola around each delay's best grid decay,
+    rounded to 1e-9 because `states @ ahead.T` rounds differently for one
+    delay than for many."""
     pole = _grid_pole(len(cases))
     states = _one_pole(cases, pole)
     p = states @ ahead.T
-    q = np.cumsum(states * states, axis=1)[:, end]
-    fits = (p > 0.0) & (q > 0.0)
-    best = np.argmax(np.divide(p * p, q, out=np.zeros_like(p), where=fits), axis=0)
-    near = np.zeros(len(_GRID), dtype=bool)
-    near[np.clip(best[:, None] + np.arange(-1, 2), 0, len(_GRID) - 1)] = True
-    s, p, q = states[near], p[near], q[near]
-    ds = _one_pole(_delayed(s, 1), tuple(table[near] for table in pole))
-    b = np.divide(p, q, out=np.zeros_like(p), where=fits[near])
-    slopes = np.full(fits.shape, np.nan)
-    slopes[near] = -2.0 * b * (ds @ ahead.T - b * np.cumsum(s * ds, axis=1)[:, end])
-    return best, slopes
+    # the last state day with a death k days on is len(cases) - 1 - k
+    q = np.cumsum(states * states, axis=1)[:, len(cases) - 1 - ks]
+    return np.divide(p * p, q, out=np.zeros_like(p), where=(p > 0.0) & (q > 0.0))
 
 
 def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
@@ -245,42 +234,40 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
 
     Every delay works on the zero-delay state s_0: row j of `ahead` holds the
     deaths k_j days after each state day and `mask` the state days that have
-    one.  A 50-point grid scan over (0, 1) finds each delay's best grid
-    decay, and the sign of the grid table's slope there picks the half cell
-    beside it that holds the profile minimum.  A minimum whose outer grid end
-    already slopes outward sits on that end; otherwise Newton starts at the
-    half's secant root.  The search edges 0 and _TOP are not grid decays, so
-    a half ending on one starts Newton on the edge itself: that evaluation,
-    in the residual form -2b(r.ds), is the edge test (at an exact fit with
-    a = 0 the table's form cancels to a slope of the wrong sign), and an
-    outward slope there collapses the bracket onto the edge.  All delays
-    take Newton steps on the profile slope together, each falling back to
-    bisection whenever its step would leave its bracket or its profile is
-    not convex there.  A row stops once it takes a Newton step shorter than
-    _SHORT_STEP: the profile is quadratic that close to its minimum, so the
-    step leaves an error of the order of its square, under 1e-12, and a
-    further evaluation would only confirm it.  A row also stops on any step,
-    Newton or bisection, below _STEP_TOL.
+    one.  The best grid decay, the largest explained square e, and its two
+    neighbours bracket the profile minimum; past the grid's end the search
+    edge 0 or _TOP is the neighbour, and Newton starts on it.  Otherwise
+    Newton starts at the vertex of the parabola through e at the three,
+    which opens downward since argmax takes the first of equal maxima,
+    rounded to 1e-9: the grid's matrix product rounds differently for one
+    delay than for many, and the rounding keeps each delay's fit the same
+    whichever other delays are searched.  A delay that no grid decay fits
+    keeps a = _GRID[0].  All delays take Newton steps on the profile slope
+    together, each falling back to bisection whenever its step would leave
+    its bracket or its profile is not convex there; an outward slope on a
+    search edge collapses the bracket onto it.  A row stops once it takes a
+    Newton step shorter than _SHORT_STEP: the profile is quadratic that
+    close to its minimum, so the step leaves an error of the order of its
+    square, under 1e-12, and a further evaluation would only confirm it.  A
+    row also stops on any step, Newton or bisection, below _STEP_TOL.
     """
     t = len(cases)
     days = np.arange(t)
     mask = (days < t - ks[:, None]).astype(float)
     ahead = np.where(mask > 0.0, deaths[np.minimum(days + ks[:, None], t - 1)], 0.0)
 
-    j, slopes = _grid_profiles(cases, ahead, ks)
-    cols = np.arange(len(ks))
-    mid, slope_mid = _GRID[j], slopes[j, cols]
-    up = slope_mid < 0.0  # the minimum lies above the best grid decay
-    outer = np.where(up, j + 1, j - 1)
-    edge = (outer < 0) | (outer == len(_GRID))
-    end = np.concatenate([[0.0], _GRID, [_TOP]])[outer + 1]
-    slope_end = slopes[np.clip(outer, 0, len(_GRID) - 1), cols]
-    outward = ~edge & np.where(up, slope_end <= 0.0, slope_end >= 0.0)
-    lo, hi = np.minimum(mid, end), np.maximum(mid, end)
+    e = _grid_profiles(cases, ahead, ks)
+    j = np.argmax(e, axis=0)
+    # the best grid decay's neighbours, or a search edge past the grid's end
+    lo, hi = np.concatenate([[0.0], _GRID, [_TOP]])[[j, j + 2]]
+    e_lo, e_mid, e_hi = (e[np.clip(j + i, 0, len(_GRID) - 1), np.arange(len(ks))]
+                         for i in (-1, 0, 1))
+    # unused at a grid end, where e_lo or e_hi is e_mid itself
     with np.errstate(divide="ignore", invalid="ignore"):
-        secant = mid - slope_mid * (end - mid) / (slope_end - slope_mid)
-    a = np.where(slope_mid == 0.0, mid, np.where(edge | outward, end, secant))
-    rows = np.flatnonzero((slope_mid != 0.0) & ~outward)
+        shift = 0.5 * (e_hi - e_lo) / (2.0 * e_mid - e_lo - e_hi)
+    vertex = np.round(_GRID[j] + shift * (_GRID[1] - _GRID[0]), 9)
+    a = np.select([e_mid == 0.0, j == 0, j == len(_GRID) - 1], [_GRID[0], lo, hi], vertex)
+    rows = np.flatnonzero(e_mid > 0.0)
     for _ in range(_MAX_STEPS):
         if rows.size == 0:
             break

@@ -190,7 +190,13 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
     if kind not in CUMULATIVE_KINDS:
         raise ValueError("kind must be cumulative, got %r" % kind)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError("%s: line %d: %s" % (path, reader.line_num, exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
     if not rows:
         raise ValueError("%s: empty file" % path)
     header = rows[0]

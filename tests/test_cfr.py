@@ -196,46 +196,15 @@ def test_profile_slopes_take_an_empty_batch(days):
     assert slope.shape == curvature.shape == (0,)
 
 
-@pytest.mark.parametrize("source", ["israel", "noisy"])
-def test_grid_slope_table_matches_profile_slopes(source, data_dir):
-    if source == "israel":
-        cases, deaths = israel_window(data_dir)
-    else:
-        rng = np.random.default_rng(3)
-        cases = smooth_case_curve(150, rng)
-        deaths = oracles.convolve_direct(cases, 6, 0.85, 0.002) * np.exp(rng.normal(0.0, 0.15, 150))
-    ks = np.arange(0, 31)
-    ahead, mask = rows_ahead(deaths, ks)
-    best, table = _grid_profiles(cases, ahead, ks)
-    # the table fills the grid rows next to some delay's best grid decay,
-    # which hold every entry _fit_decays reads, and leaves the rest NaN
-    near = np.zeros(len(_GRID), dtype=bool)
-    near[np.clip(best[:, None] + np.arange(-1, 2), 0, len(_GRID) - 1)] = True
-    assert near.sum() < len(_GRID)
-    assert not np.isnan(table[near]).any() and np.isnan(table[~near]).all()
-    for i in np.flatnonzero(near):
-        a = _GRID[i]
-        slope, _ = _profile_slopes(cases, ahead, mask, np.full(len(ks), a))
-        # the table's form -2b(d.ds - b s.ds) subtracts terms of size
-        # 2b(d.ds): a slope under 1e-9 of that keeps too few digits to
-        # compare, but the half-cell choice still reads its sign
-        s = one_pole(cases, a) * mask
-        ds = one_pole(_delayed(s, 1), a) * mask
-        b = np.sum(ahead * s, axis=1) / np.sum(s * s, axis=1)
-        keep = np.abs(slope) >= 1e-9 * np.abs(2.0 * b * np.sum(ahead * ds, axis=1))
-        np.testing.assert_allclose(table[i, keep], slope[keep], rtol=1e-9)
-        np.testing.assert_array_equal(np.sign(table[i, ~keep]), np.sign(slope[~keep]))
-
-
 @pytest.mark.parametrize("decay, k, cell", [(0.012, 4, 0), (0.99, 2, len(_GRID) - 1)])
 def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, cell):
-    # noisy data; the half cell holding such a minimum may end on a search
-    # edge, 0 or _TOP, whose slope is evaluated apart from the grid table
+    # noisy data; such a minimum lies between the search edge, 0 or _TOP,
+    # and the grid decay next to it, where Newton starts on the edge itself
     rng = np.random.default_rng(0)
     cases = smooth_case_curve(150, rng)
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.05, 150))
     ks = np.arange(0, 9)
-    best, _ = _grid_profiles(cases, rows_ahead(deaths, ks)[0], ks)
+    best = np.argmax(_grid_profiles(cases, rows_ahead(deaths, ks)[0], ks), axis=0)
     a, b, _ = _fit_decays(cases, deaths, ks)[:3]
     lo, hi = (0.0, _GRID[1]) if cell == 0 else (_GRID[-2], _TOP)
     # every delay whose minimum lies inside that cell, off the edge itself
@@ -248,8 +217,8 @@ def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, cell):
 
 
 def edge_case_data(where):
-    # noisy deaths whose profile minimum for delay 3 lies in a half cell that
-    # ends on a search edge: on the edge itself, or inside the half
+    # noisy deaths whose profile minimum for delay 3 lies between a search
+    # edge and the grid decay next to it: on the edge itself, or inside
     rng = np.random.default_rng(2)
     cases = smooth_case_curve(150, rng)
     if where == "zero":
@@ -269,11 +238,10 @@ def test_edge_half_cell_minimum(where):
     cases, deaths = edge_case_data(where)
     k = 3
     ks = np.array([k])
-    best, table = _grid_profiles(cases, rows_ahead(deaths, ks)[0], ks)
-    # the grid picks the half cell between the edge and its nearest grid decay
+    best = np.argmax(_grid_profiles(cases, rows_ahead(deaths, ks)[0], ks), axis=0)
+    # the best grid decay is the one next to the edge
     cell, edge = (0, 0.0) if where.endswith("zero") else (len(_GRID) - 1, _TOP)
     assert best[0] == cell
-    assert table[cell, 0] > 0.0 if edge == 0.0 else table[cell, 0] < 0.0
     (a,), (b,), (sse,) = _fit_decays(cases, deaths, ks)[:3]
     if where.startswith("inside"):
         lo, hi = sorted((edge, _GRID[cell]))
@@ -347,6 +315,29 @@ def test_newton_stops_at_the_profile_optimum_on_flat_profiles(seed, slope_calls)
         a_ref, _ = oracles.profile_optimum(list(cases), list(deaths), int(ks[r]),
                                            a[r] - 1e-6, a[r] + 1e-6)
         assert abs(a[r] - a_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("source, k_max", [("israel", 15), ("israel", 30),
+                                           ("israel unsmoothed", 30), (0, 15), (1, 15), (2, 15)])
+def test_each_delay_fits_as_if_searched_alone(source, k_max, data_dir):
+    # the grid's matrix product rounds differently for one delay than for
+    # many; a delay's (a, b, sse) must not depend on the others searched
+    if source == "israel":
+        cases, deaths = israel_window(data_dir)
+    elif source == "israel unsmoothed":
+        cases, deaths = (np.asarray(s.values) for s in israel_series(data_dir))
+    else:
+        rng = np.random.default_rng([source, 17])
+        days = int(rng.integers(120, 400))
+        cases = smooth_case_curve(days, rng)
+        k, decay = int(rng.integers(0, 16)), float(rng.uniform(0.3, 0.95))
+        deaths = (oracles.convolve_direct(cases, k, decay, 0.003)
+                  * np.exp(rng.normal(0.0, 0.4, days)))
+    ks = np.arange(0, k_max + 1)
+    searched = np.array(_fit_decays(cases, deaths, ks)[:3])
+    for r in range(len(ks)):
+        alone = np.array(_fit_decays(cases, deaths, ks[r:r + 1])[:3])[:, 0]
+        np.testing.assert_array_equal(alone, searched[:, r], err_msg="delay %d" % ks[r])
 
 
 # --- fitting ---------------------------------------------------------------------

@@ -199,6 +199,36 @@ class TestIngest:
         assert "2020-05-04" in out
         assert "note: recovered_cumulative has 1 negative" in out
 
+    def corrupt_israel_row(self, data_dir, tmp_path, edit):
+        # a copy of the snapshot whose confirmed file has the Israel row's
+        # bytes passed through edit; returns the directory, file and line
+        work = tmp_path / "data"
+        shutil.copytree(data_dir, work)
+        target = work / "time_series_covid19_confirmed_global.csv"
+        lines = target.read_bytes().splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines, 1) if b",Israel," in line)
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        target.write_bytes(b"".join(lines))
+        return work, target, lineno
+
+    def test_cell_past_the_csv_field_limit_exits_two(self, capsys, data_dir, tmp_path):
+        # csv refuses a field over 131,072 characters
+        work, target, lineno = self.corrupt_israel_row(
+            data_dir, tmp_path, lambda line: line.replace(b",", b"," + b"1" * 131073 + b",", 1))
+        rc, out, err = run(capsys, "ingest", "--data-dir", str(work))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: %s: line %d: field larger than field limit"
+                              % (target, lineno))
+        assert "Traceback" not in err
+
+    def test_non_utf8_byte_exits_two(self, capsys, data_dir, tmp_path):
+        work, target, _ = self.corrupt_israel_row(
+            data_dir, tmp_path, lambda line: line.replace(b"Israel", b"Isra\xffl"))
+        rc, out, err = run(capsys, "ingest", "--data-dir", str(work))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: %s: 'utf-8' codec can't decode byte 0xff" % target)
+        assert "Traceback" not in err
+
 
 class TestValidate:
     def test_fitted_cfr_passes_all_checks(self, capsys):

@@ -9,7 +9,8 @@ pipeline is checked against:
   * active cases exactly 20,876 (Aug 30), 71,114 (Oct 3), 8,697 (Nov 16),
     20,791 (Dec 16);
   * roughly 190,000 new cases over Aug 30 - Oct 23 and 52,000 over
-    Oct 23 - Dec 16 (boundary differences of cumulative confirmed);
+    Oct 23 - Dec 16 (boundary differences of cumulative confirmed), the
+    oc_cases and co_cases centres of validation.TOLERANCES;
   * daily deaths generated from daily cases through the geometric delay
     kernel (delay 3 days, decay 0.943, scale 0.000485, case fatality 0.0085)
     plus reporting texture, so the fit pipeline recovers those parameters.
@@ -35,10 +36,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.path.join(HERE, os.pardir, "src", "lockcycle", "data")
 sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
-# the fit window and file names from series, and the cycle windows and
-# anchors from validation: the library fits and checks against these
+# the fit window and file names from series, and the cycle windows, anchors
+# and published figures from validation: the library fits and checks against these
 from lockcycle.series import CUMULATIVE_KINDS, FIT_FROM, FIT_TO, JHU_FILENAMES  # noqa: E402
-from lockcycle.validation import ANCHORS, CYCLE_SPLIT, OC_START, PERIOD_END  # noqa: E402
+from lockcycle.validation import (ANCHORS, CYCLE_SPLIT, OC_START, PERIOD_END,  # noqa: E402
+                                  TOLERANCES)
+
+# name -> (center, tolerance, kind) of each published figure
+PUBLISHED = {name: band for name, *band in TOLERANCES}
 
 START = dt.date(2020, 1, 22)
 END = dt.date(2020, 12, 31)
@@ -92,8 +97,8 @@ DAY = dt.timedelta(days=1)
 EPOCH_TARGETS = [
     ("2020-02-21", "2020-05-31", 17000.0),
     ("2020-06-01", OC_START, 96500.0),
-    (OC_START + DAY, CYCLE_SPLIT, 190000.0),
-    (CYCLE_SPLIT + DAY, PERIOD_END, 52000.0),
+    (OC_START + DAY, CYCLE_SPLIT, PUBLISHED["oc_cases"][0]),
+    (CYCLE_SPLIT + DAY, PERIOD_END, PUBLISHED["co_cases"][0]),
 ]
 
 # active-case curve knots past the bookkeeping epoch: the exact anchors, then
@@ -194,10 +199,10 @@ def check_israel(n, confirmed, deaths_cum, recovered, active):
 
     oc = confirmed[didx(CYCLE_SPLIT)] - confirmed[didx(OC_START)]
     co = confirmed[didx(PERIOD_END)] - confirmed[didx(CYCLE_SPLIT)]
-    if abs(oc / 190000.0 - 1) > 0.01:
-        problems.append("oc window sum %d off target" % oc)
-    if abs(co / 52000.0 - 1) > 0.01:
-        problems.append("co window sum %d off target" % co)
+    # within 1% of the published totals, tighter than validation's bands
+    for name, got in (("oc_cases", oc), ("co_cases", co)):
+        if abs(got / PUBLISHED[name][0] - 1) > 0.01:
+            problems.append("%s window sum %d off target" % (name[:2], got))
 
     if (active < 0).any():
         problems.append("negative active count")
@@ -215,7 +220,8 @@ def check_israel(n, confirmed, deaths_cum, recovered, active):
 
     window = active[didx(OC_START):didx(PERIOD_END) + 1]
     ratio = window.max() / active[didx(OC_START)]
-    if not 3.4 <= ratio <= 3.8:
+    center, width, _ = PUBLISHED["predicted_ratio_from_model"]  # an "abs" band
+    if not center - width <= ratio <= center + width:
         problems.append("peak-to-start ratio %.4f out of band" % ratio)
     peak_day, peak = max(ANCHORS, key=lambda anchor: anchor[1])
     if window.max() != peak:
