@@ -14,20 +14,20 @@ decay a the scale b is the closed-form least-squares solution, leaving the
 one-dimensional profile SSE(a) = |d|^2 - (d.s)^2/(s.s) for each delay.  The
 recursion starts from zero state, so the state for delay k is the zero-delay
 state shifted by k days and one filter pass per decay serves every delay.  A
-50-point grid scan on (0, 1) finds each delay's best grid decay, whose two
+grid of 52 decays, the search edges 0 and _TOP and 50 points between them,
+is scored in one filter pass, and each delay's best grid decay and its grid
 neighbours bracket the minimum.  Safeguarded Newton steps on the profile's
-slope refine all delays in lock step, each from the vertex of the parabola
-through the grid's explained squares (d.s)^2/(s.s) at its best decay and
-the two neighbours, or from the search edge when the best decay is a grid
-end.  The vertex is rounded to 1e-9, so that the grid's matrix product,
-which rounds differently for one delay than for many, leaves each delay's
-fit the same however many delays are searched.  A delay stops at its first
-Newton step shorter than _SHORT_STEP, which in the quadratic regime leaves
-an error of the order of its square.  The integer delay k with the smallest
-residual wins.  Each evaluation builds its block power matrices once, as
-read-only Toeplitz views of one ramp of powers, and runs every filter pass it
-needs on them; the grid's tables are built once per process.  The bundled
-Israel fit takes four evaluations.
+slope refine all delays in lock step, each from its best decay if that is an
+edge, else from the vertex of the parabola through the grid's explained
+squares (d.s)^2/(s.s) at the three.  The vertex is rounded to 1e-9, so that
+the grid's matrix product, which rounds differently for one delay than for
+many, leaves each delay's fit the same however many delays are searched.  A
+delay stops at its first Newton step shorter than _SHORT_STEP, which in the
+quadratic regime leaves an error of the order of its square.  The integer
+delay k with the smallest residual wins.  Each evaluation, the grid's
+included, builds its block power matrices once, as read-only Toeplitz views
+of one ramp of powers, and runs every filter pass it needs on them.  The
+bundled Israel fit takes four evaluations.
 
 The input series hold plain floats.  fit turns each into an array once,
 smooths it with a trailing moving average and aligns the two on their
@@ -159,10 +159,9 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
     return DailySeries(new_cases.start_date, (model.scale_b * s).tolist(), "daily_deaths")
 
 
-_GRID = (np.arange(50) + 0.5) / 50
-# _pole(_GRID, t) for the longest t so far, built once per process
-_GRID_POLE = list(_pole(_GRID, 1))
 _TOP = 1.0 - 1e-12  # a = 1 would give the kernel infinite mass
+# 50 decays on (0, 1) between the two search edges
+_GRID = np.concatenate([[0.0], (np.arange(50) + 0.5) / 50, [_TOP]])
 _STEP_TOL = 1e-14
 _SHORT_STEP = 1e-7
 _MAX_STEPS = 100
@@ -202,27 +201,13 @@ def _profile_slopes(cases, ahead, mask, a):
     return slope, curvature
 
 
-def _grid_pole(t: int):
-    """_pole(_GRID, t) from the process's one set of grid tables; a series
-    longer than any before grows the outer table, and a shorter one reads
-    its leading blocks.  Threads need no lock: each slices the table it
-    checked or built, and a race only rebuilds one."""
-    inner, outer, carry = _GRID_POLE
-    blocks = _blocks(t)
-    if outer.shape[-1] < blocks:
-        # carry's last column is a**_BLOCK
-        outer = _GRID_POLE[1] = _lower_powers(carry[:, -1:] ** np.arange(blocks))
-    return inner, outer[:, :blocks, :blocks], carry
-
-
 def _grid_profiles(cases, ahead, ks):
     """Explained squares (d.s)^2/(s.s) from one filter pass (rows: _GRID,
-    columns: ks), 0 where no scale b > 0 fits.  _fit_decays starts Newton at
-    the vertex of their parabola around each delay's best grid decay,
-    rounded to 1e-9 because `states @ ahead.T` rounds differently for one
-    delay than for many."""
-    pole = _grid_pole(len(cases))
-    states = _one_pole(cases, pole)
+    columns: ks), 0 where no scale b > 0 fits.  The states are the cases
+    themselves at a = 0 and their running sum at _TOP.  _fit_decays rounds
+    the Newton start it takes from these to 1e-9, as `states @ ahead.T`
+    rounds differently for one delay than for many."""
+    states = _one_pole(cases, _pole(_GRID, len(cases)))
     p = states @ ahead.T
     # the last state day with a death k days on is len(cases) - 1 - k
     q = np.cumsum(states * states, axis=1)[:, len(cases) - 1 - ks]
@@ -234,22 +219,23 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
 
     Every delay works on the zero-delay state s_0: row j of `ahead` holds the
     deaths k_j days after each state day and `mask` the state days that have
-    one.  The best grid decay, the largest explained square e, and its two
-    neighbours bracket the profile minimum; past the grid's end the search
-    edge 0 or _TOP is the neighbour, and Newton starts on it.  Otherwise
-    Newton starts at the vertex of the parabola through e at the three,
-    which opens downward since argmax takes the first of equal maxima,
-    rounded to 1e-9: the grid's matrix product rounds differently for one
-    delay than for many, and the rounding keeps each delay's fit the same
-    whichever other delays are searched.  A delay that no grid decay fits
-    keeps a = _GRID[0].  All delays take Newton steps on the profile slope
-    together, each falling back to bisection whenever its step would leave
-    its bracket or its profile is not convex there; an outward slope on a
-    search edge collapses the bracket onto it.  A row stops once it takes a
-    Newton step shorter than _SHORT_STEP: the profile is quadratic that
-    close to its minimum, so the step leaves an error of the order of its
-    square, under 1e-12, and a further evaluation would only confirm it.  A
-    row also stops on any step, Newton or bisection, below _STEP_TOL.
+    one.  The grid holds both search edges, so one rule serves every delay:
+    the best grid decay, the largest explained square e, and its grid
+    neighbours, clipped at the ends, bracket the profile minimum.  A best
+    edge starts Newton on the edge itself.  An interior best starts it at
+    the vertex of the parabola through e at the three, with the grid's own
+    spacing on each side, rounded to 1e-9: the grid's matrix product rounds
+    differently for one delay than for many, and the rounding keeps each
+    delay's fit the same whichever other delays are searched.  A delay that
+    no grid decay fits keeps a = _GRID[0] = 0.  All delays take Newton steps
+    on the profile slope together, each falling back to bisection whenever
+    its step would leave its bracket or its profile is not convex there; an
+    outward slope on a search edge collapses the bracket onto it.  A row
+    stops once it takes a Newton step shorter than _SHORT_STEP: the profile
+    is quadratic that close to its minimum, so the step leaves an error of
+    the order of its square, under 1e-12, and a further evaluation would
+    only confirm it.  A row also stops on any step, Newton or bisection,
+    below _STEP_TOL.
     """
     t = len(cases)
     days = np.arange(t)
@@ -258,15 +244,17 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
 
     e = _grid_profiles(cases, ahead, ks)
     j = np.argmax(e, axis=0)
-    # the best grid decay's neighbours, or a search edge past the grid's end
-    lo, hi = np.concatenate([[0.0], _GRID, [_TOP]])[[j, j + 2]]
-    e_lo, e_mid, e_hi = (e[np.clip(j + i, 0, len(_GRID) - 1), np.arange(len(ks))]
-                         for i in (-1, 0, 1))
-    # unused at a grid end, where e_lo or e_hi is e_mid itself
+    j_lo, j_hi = np.maximum(j - 1, 0), np.minimum(j + 1, len(_GRID) - 1)
+    lo, mid, hi = _GRID[j_lo], _GRID[j], _GRID[j_hi]
+    cols = np.arange(len(ks))
+    e_mid = e[j, cols]
+    # the parabola's vertex; off the grid's ends its denominator is positive,
+    # as argmax takes the first of equal maxima
+    d_lo, d_hi = e_mid - e[j_lo, cols], e_mid - e[j_hi, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
-        shift = 0.5 * (e_hi - e_lo) / (2.0 * e_mid - e_lo - e_hi)
-    vertex = np.round(_GRID[j] + shift * (_GRID[1] - _GRID[0]), 9)
-    a = np.select([e_mid == 0.0, j == 0, j == len(_GRID) - 1], [_GRID[0], lo, hi], vertex)
+        shift = 0.5 * ((hi - mid) ** 2 * d_lo - (mid - lo) ** 2 * d_hi) / (
+            (hi - mid) * d_lo + (mid - lo) * d_hi)
+    a = np.where((j == 0) | (j == len(_GRID) - 1), mid, np.round(mid + shift, 9))
     rows = np.flatnonzero(e_mid > 0.0)
     for _ in range(_MAX_STEPS):
         if rows.size == 0:

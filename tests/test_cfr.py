@@ -196,20 +196,22 @@ def test_profile_slopes_take_an_empty_batch(days):
     assert slope.shape == curvature.shape == (0,)
 
 
-@pytest.mark.parametrize("decay, k, cell", [(0.012, 4, 0), (0.99, 2, len(_GRID) - 1)])
-def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, cell):
-    # noisy data; such a minimum lies between the search edge, 0 or _TOP,
-    # and the grid decay next to it, where Newton starts on the edge itself
+@pytest.mark.parametrize("decay, k, edge", [(0.012, 4, 0), (0.99, 2, len(_GRID) - 1)])
+def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, edge):
+    # noisy data; such a minimum lies in the two grid cells at a search edge,
+    # 0 or _TOP, where the parabola's start takes the edge's explained square
     rng = np.random.default_rng(0)
     cases = smooth_case_curve(150, rng)
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.05, 150))
     ks = np.arange(0, 9)
     best = np.argmax(_grid_profiles(cases, rows_ahead(deaths, ks)[0], ks), axis=0)
     a, b, _ = _fit_decays(cases, deaths, ks)[:3]
-    lo, hi = (0.0, _GRID[1]) if cell == 0 else (_GRID[-2], _TOP)
-    # every delay whose minimum lies inside that cell, off the edge itself
-    inside = np.flatnonzero((best == cell) & (a > 0.0) & (a < _TOP))
-    assert (k in ks[inside]) and (cell == 0 or inside.size == len(ks))
+    beside = 1 if edge == 0 else edge - 1
+    lo, hi = (0.0, _GRID[2]) if edge == 0 else (_GRID[-3], _TOP)
+    # every delay whose best grid point is the edge or the decay next to it,
+    # and whose minimum lies off the edge itself
+    inside = np.flatnonzero(np.isin(best, (edge, beside)) & (a > 0.0) & (a < _TOP))
+    assert (k in ks[inside]) and (edge == 0 or inside.size == len(ks))
     for r in inside:
         a_ref, b_ref = oracles.profile_optimum(list(cases), list(deaths), int(ks[r]), lo, hi)
         assert abs(a[r] - a_ref) <= 1e-9
@@ -239,23 +241,60 @@ def test_edge_half_cell_minimum(where):
     k = 3
     ks = np.array([k])
     best = np.argmax(_grid_profiles(cases, rows_ahead(deaths, ks)[0], ks), axis=0)
-    # the best grid decay is the one next to the edge
-    cell, edge = (0, 0.0) if where.endswith("zero") else (len(_GRID) - 1, _TOP)
-    assert best[0] == cell
+    # the best grid point is the edge or the decay next to it
+    edge, beside = (0, 1) if where.endswith("zero") else (len(_GRID) - 1, len(_GRID) - 2)
+    assert best[0] in (edge, beside)
     (a,), (b,), (sse,) = _fit_decays(cases, deaths, ks)[:3]
     if where.startswith("inside"):
-        lo, hi = sorted((edge, _GRID[cell]))
+        lo, hi = sorted(_GRID[[edge, beside]])
         a_ref, b_ref = oracles.profile_optimum(list(cases), list(deaths), k, lo, hi)
         assert abs(a - a_ref) <= 1e-12
         assert b == pytest.approx(b_ref, rel=1e-9)
     else:
         # the edge's own slope points out of the search interval
-        assert a == edge
-        outward = oracles.profile_slope(list(cases), list(deaths), k, edge)
-        assert outward > 0.0 if edge == 0.0 else outward < 0.0
+        assert a == _GRID[edge]
+        outward = oracles.profile_slope(list(cases), list(deaths), k, _GRID[edge])
+        assert outward > 0.0 if edge == 0 else outward < 0.0
     assert sse == pytest.approx(oracles.profile_sse(cases, deaths, k, a), rel=1e-9)
-    for neighbour in _GRID[[cell, cell - 1 if cell else 1]]:
+    # the two grid decays next to the edge
+    for neighbour in _GRID[[1, 2]] if edge == 0 else _GRID[[-2, -3]]:
         assert sse < oracles.profile_sse(cases, deaths, k, neighbour)
+
+
+def noisy_case(seed):
+    # cases and deaths of a seeded noisy series: a random length, kernel and
+    # lognormal noise sd
+    rng = np.random.default_rng(seed)
+    days = int(rng.integers(120, 400))
+    cases = smooth_case_curve(days, rng)
+    k, decay = int(rng.integers(0, 16)), float(rng.uniform(0.0, 0.99))
+    sd = rng.choice([0.1, 0.4, 1.0])
+    deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, sd, days))
+    return cases, deaths
+
+
+@pytest.mark.parametrize("source", ["two waves", (101, 99), (0, 18), (1, 18), (2, 18)], ids=str)
+def test_each_delay_ends_at_its_global_minimum(source):
+    # a profile with an inner local minimum can lie lower still on a search
+    # edge: at a = 0 for (101, 99)'s delay 13, at _TOP for the two waves'
+    # delays 28 to 30
+    if source == "two waves":
+        t = np.arange(230.0)
+        cases = (2000.0 * np.exp(-0.5 * ((t - 40.0) / 10.0) ** 2)
+                 + 4000.0 * np.exp(-0.5 * ((t - 210.0) / 10.0) ** 2))
+        cases[cases < 0.5] = 0.0
+        deaths = oracles.convolve_direct(cases, 2, 0.8, 0.004)
+        ks = np.arange(0, 31)
+    else:
+        cases, deaths = noisy_case(source)
+        ks = np.arange(0, 16)
+    _, _, sse = _fit_decays(cases, deaths, ks)[:3]
+    for r, k in enumerate(ks):
+        for edge in (0.0, _TOP):
+            assert sse[r] <= oracles.profile_sse(list(cases), deaths, int(k), edge) * (1 + 1e-9), (
+                "delay %d, edge %r" % (k, edge))
+    if source == "two waves":
+        assert ks[np.argmin(sse)] == 2
 
 
 @pytest.fixture
@@ -474,6 +513,18 @@ def test_every_searched_delay_leaves_sixty_fitted_points():
                                          "aligned after a smooth_window of 7 days: every "
                                          "delay must leave at least 60 fitted points"):
         fit_cfr(cases, deaths, k_range=(60, 65))
+
+
+def test_fit_that_no_grid_decay_fits_keeps_the_zero_edge():
+    # negative deaths: no scale b > 0 fits any decay, so every delay keeps
+    # a = 0 with b = 0, and the smallest delay wins the tie
+    cases = smooth_case_curve(120)
+    deaths = -oracles.convolve_direct(cases, 3, 0.5, 0.003)
+    model = fit_cfr(make_cases(cases), make_deaths(deaths), k_range=(2, 6), smooth_window=1)
+    assert (model.delay_k, model.decay_a, model.scale_b) == (2, 0.0, 0.0)
+    assert model.sse == pytest.approx(math.fsum(deaths * deaths), rel=1e-12)
+    assert model.sse == pytest.approx(1083.638897, rel=1e-9)
+    assert model.cv_a is None and model.cv_b is None
 
 
 def test_fit_with_no_deaths_returns_zero_scale():
