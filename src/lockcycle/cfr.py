@@ -201,16 +201,15 @@ def _profile_slopes(cases, ahead, mask, a):
     return slope, curvature
 
 
-def _grid_profiles(cases, ahead, ks):
+def _grid_profiles(cases, ahead, mask):
     """Explained squares (d.s)^2/(s.s) from one filter pass (rows: _GRID,
-    columns: ks), 0 where no scale b > 0 fits.  The states are the cases
-    themselves at a = 0 and their running sum at _TOP.  _fit_decays rounds
-    the Newton start it takes from these to 1e-9, as `states @ ahead.T`
-    rounds differently for one delay than for many."""
+    columns: the rows of ahead and mask), 0 where no scale b > 0 fits.  The
+    states are the cases themselves at a = 0 and their running sum at _TOP.
+    _fit_decays rounds the Newton start it takes from these to 1e-9, as the
+    matrix products round differently for one delay than for many."""
     states = _one_pole(cases, _pole(_GRID, len(cases)))
     p = states @ ahead.T
-    # the last state day with a death k days on is len(cases) - 1 - k
-    q = np.cumsum(states * states, axis=1)[:, len(cases) - 1 - ks]
+    q = (states * states) @ mask.T
     return np.divide(p * p, q, out=np.zeros_like(p), where=(p > 0.0) & (q > 0.0))
 
 
@@ -242,7 +241,7 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     mask = (days < t - ks[:, None]).astype(float)
     ahead = np.where(mask > 0.0, deaths[np.minimum(days + ks[:, None], t - 1)], 0.0)
 
-    e = _grid_profiles(cases, ahead, ks)
+    e = _grid_profiles(cases, ahead, mask)
     j = np.argmax(e, axis=0)
     j_lo, j_hi = np.maximum(j - 1, 0), np.minimum(j + 1, len(_GRID) - 1)
     lo, mid, hi = _GRID[j_lo], _GRID[j], _GRID[j_hi]
@@ -287,8 +286,6 @@ def _moving_average(values, window_days: int) -> np.ndarray:
     the window_days-th value on; a width of 1 gives the values unchanged."""
     # fromiter reads a tuple of floats faster than asarray
     values = np.fromiter(values, float, len(values))
-    if window_days == 1:
-        return values
     return np.convolve(values, np.ones(window_days), "valid") / window_days
 
 
@@ -339,11 +336,6 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
         raise ValueError("k_range upper end %d reaches past the %d points aligned after a "
                          "smooth_window of %d days: every delay must leave at least 60 "
                          "fitted points" % (k_hi, len(n), smooth_window))
-
-    if not np.any(d != 0.0):
-        # no deaths at all: b = 0 fits every delay equally well
-        return CfrModel(k_lo, 0.0, 0.0, sse=0.0, cv_a=None, cv_b=None,
-                        fitted_deaths=DailySeries(start, (0.0,) * len(d), "daily_deaths"))
 
     ks = np.arange(k_lo, k_hi + 1)
     a_by_k, b_by_k, sse_by_k, states = _fit_decays(n, d, ks)

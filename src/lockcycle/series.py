@@ -157,12 +157,9 @@ def _parse_counts(cells, path: str, lineno: int, dates) -> list:
     """One row's counts as floats, a blank cell counting 0; a cell that is
     not a number, or not a finite one, is an error naming the line."""
     try:
-        values = list(map(float, cells))
-    except ValueError:  # a blank cell, or no number at all
-        try:
-            values = [float(x) if x.strip() else 0.0 for x in cells]
-        except ValueError as exc:
-            raise ValueError("%s: line %d: %s" % (path, lineno, exc)) from None
+        values = [float(x) if x.strip() else 0.0 for x in cells]
+    except ValueError as exc:
+        raise ValueError("%s: line %d: %s" % (path, lineno, exc)) from None
     if not all(map(math.isfinite, values)):
         bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
         raise ValueError("%s: line %d has the non-finite value %r on %s"

@@ -196,6 +196,26 @@ def test_profile_slopes_take_an_empty_batch(days):
     assert slope.shape == curvature.shape == (0,)
 
 
+@pytest.mark.parametrize("days, sign", [(150, 1.0), (700, 1.0), (150, -1.0)])
+def test_grid_profiles_are_the_explained_squares(days, sign):
+    # every grid decay and delay against (d.s)^2/(s.s) on explicit slices;
+    # negated deaths leave no b > 0 and every entry 0
+    rng = np.random.default_rng(days)
+    cases = smooth_case_curve(days, rng)
+    noise = np.exp(rng.normal(0.0, 0.1, days))
+    deaths = sign * oracles.convolve_direct(cases, 3, 0.9, 0.003) * noise
+    ks = np.array([0, 1, 3, 8, 30])
+    e = _grid_profiles(cases, *rows_ahead(deaths, ks))
+    expected = np.zeros((len(_GRID), len(ks)))
+    for i, a in enumerate(_GRID):
+        s = one_pole(cases, a)
+        for c, k in enumerate(ks):
+            p, q = deaths[k:] @ s[:days - k], s[:days - k] @ s[:days - k]
+            expected[i, c] = p * p / q if p > 0.0 else 0.0
+    np.testing.assert_allclose(e, expected, rtol=1e-12, atol=0.0)
+    assert (e > 0.0).all() if sign > 0 else (e == 0.0).all()
+
+
 @pytest.mark.parametrize("decay, k, edge", [(0.012, 4, 0), (0.99, 2, len(_GRID) - 1)])
 def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, edge):
     # noisy data; such a minimum lies in the two grid cells at a search edge,
@@ -204,7 +224,7 @@ def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, edge):
     cases = smooth_case_curve(150, rng)
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.05, 150))
     ks = np.arange(0, 9)
-    best = np.argmax(_grid_profiles(cases, rows_ahead(deaths, ks)[0], ks), axis=0)
+    best = np.argmax(_grid_profiles(cases, *rows_ahead(deaths, ks)), axis=0)
     a, b, _ = _fit_decays(cases, deaths, ks)[:3]
     beside = 1 if edge == 0 else edge - 1
     lo, hi = (0.0, _GRID[2]) if edge == 0 else (_GRID[-3], _TOP)
@@ -240,7 +260,7 @@ def test_edge_half_cell_minimum(where):
     cases, deaths = edge_case_data(where)
     k = 3
     ks = np.array([k])
-    best = np.argmax(_grid_profiles(cases, rows_ahead(deaths, ks)[0], ks), axis=0)
+    best = np.argmax(_grid_profiles(cases, *rows_ahead(deaths, ks)), axis=0)
     # the best grid point is the edge or the decay next to it
     edge, beside = (0, 1) if where.endswith("zero") else (len(_GRID) - 1, len(_GRID) - 2)
     assert best[0] in (edge, beside)
@@ -529,12 +549,16 @@ def test_fit_that_no_grid_decay_fits_keeps_the_zero_edge():
 
 def test_fit_with_no_deaths_returns_zero_scale():
     cases = make_cases(smooth_case_curve(90))
-    model = fit_cfr(cases, make_deaths(np.zeros(90)), k_range=(2, 6))
-    assert model.scale_b == 0.0
-    assert model.sse == 0.0
-    assert model.delay_k == 2
-    assert model.cfr == 0.0
-    assert model.cv_a is None and model.cv_b is None
+    for window in (7, 1):
+        model = fit_cfr(cases, make_deaths(np.zeros(90)), k_range=(2, 6), smooth_window=window)
+        assert model.scale_b == 0.0
+        assert model.decay_a == 0.0
+        assert model.sse == 0.0
+        assert model.delay_k == 2
+        assert model.cfr == 0.0
+        assert model.cv_a is None and model.cv_b is None
+        assert len(model.fitted_deaths) == 90 - (window - 1)
+        assert all(v == 0.0 for v in model.fitted_deaths.values)
 
 
 def test_fit_requires_overlap():
