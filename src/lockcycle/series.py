@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import math
 import operator
@@ -167,6 +168,116 @@ def _parse_counts(cells, path: str, lineno: int, dates) -> list:
     return values
 
 
+# a line break after a carriage return that no line feed follows
+_LONE_CR = re.compile(r"(?<=\r)(?!\n)")
+
+
+def _lines(fh):
+    """The lines of the text file fh, each with its line ending, as
+    newline="" gives them: a lone carriage return also ends a line.  fh may
+    be opened with newline="\n", as splitting at line feeds alone is the
+    much faster search."""
+    for line in fh:
+        if "\r" in line.removesuffix("\r\n"):
+            yield from filter(None, _LONE_CR.split(line))
+        else:
+            yield line
+
+
+def _records(lines, path):
+    """Each record of a csv file as (its first line's number, head, tail).
+
+    A record on one line that is not blank, has no NUL and is shorter than
+    csv's field limit comes as a list of its leading cells and the text
+    after them, without the line ending, whose cells csv would give as
+    exactly tail.split(","), so a caller splits only what it needs.  With no
+    quote in the line the head is empty; otherwise it is what csv reads up
+    to the comma after the line's last quote, when that comma ends a field.
+    Any other record is read by csv from its first line and the lines after
+    it, quoting, a field spanning lines, the field limit and csv's errors
+    included, and comes as its cells and None.  Numbers count physical
+    lines, as an editor shows them.
+    """
+    limit = csv.field_size_limit()
+    lineno = 0
+    for line in lines:
+        lineno += 1
+        # a line that starts with a line break is blank: csv reads no cells
+        if line[0] not in "\r\n" and "\0" not in line and len(line) < limit:
+            quote = line.rfind('"')
+            if quote == -1:
+                yield lineno, [], line.rstrip("\r\n")
+                continue
+            if line[quote + 1:quote + 2] == ",":
+                # the comma ends a field iff csv gives an empty cell after it;
+                # in a quoted field it would be read into the cell
+                head = next(csv.reader((line[:quote + 2],)))
+                if head[-1] == "":
+                    yield lineno, head[:-1], line[quote + 2:].rstrip("\r\n")
+                    continue
+        reader = csv.reader(itertools.chain((line,), lines))
+        try:
+            cells = next(reader)
+        except csv.Error as exc:
+            raise ValueError("%s: line %d: %s" % (path, lineno - 1 + reader.line_num, exc)) from None
+        yield lineno, cells, None
+        lineno += reader.line_num - 1
+
+
+def _cells(head, tail, maxsplit=-1) -> list:
+    return head if tail is None else head + tail.split(",", maxsplit)
+
+
+# (header text, dates) of the last header decoded, as CSSE's global files
+# share one.  The text is the header's record as _records gives it, which
+# holds the line itself for a plain header.  A header that fails is decoded
+# again each time, so its error names the file at hand.
+_last_header = (None, ())
+
+
+def _header_dates(key, tokens, path: str) -> tuple:
+    global _last_header
+    if _last_header[0] != key:
+        _last_header = key, tuple(_parse_header_dates(tokens, path))
+    return _last_header[1]
+
+
+def _sum_rows(records, path, country, kind, province) -> DailySeries:
+    # parse_jhu_timeseries over the records of a file, raising at the first fault
+    first = next(records, None)
+    if first is None:
+        raise ValueError("%s: empty file" % path)
+    _, head, tail = first
+    header = _cells(head, tail)
+    if header[:4] != _JHU_HEADER:
+        raise ValueError("%s: unexpected header %r; not a CSSE wide-format file" % (path, header[:4]))
+    if len(header) == 4:
+        raise ValueError("%s: no date columns" % path)
+    dates = _header_dates((tuple(head), tail), header[4:], str(path))
+
+    width = len(header)
+    total = [0.0] * len(dates)
+    matched = 0
+    seen = set()
+    for lineno, head, tail in records:
+        n = len(head) if tail is None else len(head) + tail.count(",") + 1
+        if n != width:
+            raise ValueError("%s: line %d has %d fields, expected %d" % (path, lineno, n, width))
+        state, name = _cells(head, tail, 2)[:2]
+        seen.add(name)
+        if name != country or (province is not None and state != province):
+            continue
+        values = _parse_counts(_cells(head, tail)[4:], path, lineno, dates)
+        total = list(map(operator.add, total, values))
+        matched += 1
+    if matched == 0:
+        raise ValueError("country %r%s not found in %s; available countries: %s"
+                         % (country,
+                            "" if province is None else " (province %r)" % province,
+                            path, ", ".join(sorted(seen))))
+    return DailySeries(dates[0], total, kind)
+
+
 def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
                          province: str | None = None) -> DailySeries:
     """Read one country's cumulative series from a JHU CSSE wide-format file.
@@ -174,6 +285,17 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
     Rows whose Country/Region equals country are summed over provinces unless
     a single province is requested.  The date header must be a contiguous
     daily run in m/d/yy form.
+
+    The file is read one line at a time.  A line that is not blank, has no
+    NUL and is shorter than csv's field limit is split with str methods:
+    all of it when it has no quote, else the part after the comma that ends
+    the field holding its last quote, the part before going through csv.
+    Only a row of the requested country is split in full.  Every other
+    line, and a record spanning lines, goes through csv.  The header's dates
+    are decoded once per distinct header, so CSSE's three files, which share
+    one, decode it once.  A fault names the file and the physical line that
+    an editor shows; a csv or UTF-8 fault anywhere in the file comes before
+    any other, as when the whole file was read first.
 
     Args:
         path: csv file in the CSSE global time-series layout.
@@ -186,44 +308,23 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
     """
     if kind not in CUMULATIVE_KINDS:
         raise ValueError("kind must be cumulative, got %r" % kind)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise ValueError("%s: line %d: %s" % (path, reader.line_num, exc)) from None
-        except UnicodeDecodeError as exc:
-            raise ValueError("%s: %s" % (path, exc)) from None
-    if not rows:
-        raise ValueError("%s: empty file" % path)
-    header = rows[0]
-    if header[:4] != _JHU_HEADER:
-        raise ValueError("%s: unexpected header %r; not a CSSE wide-format file" % (path, header[:4]))
-    if len(header) == 4:
-        raise ValueError("%s: no date columns" % path)
-    dates = _parse_header_dates(header[4:], str(path))
-
-    width = len(header)
-    total = [0.0] * len(dates)
-    matched = 0
-    seen = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError("%s: line %d has %d fields, expected %d" % (path, lineno, len(row), width))
-        seen.add(row[1])
-        if row[1] != country:
-            continue
-        if province is not None and row[0] != province:
-            continue
-        values = _parse_counts(row[4:], path, lineno, dates)
-        total = list(map(operator.add, total, values))
-        matched += 1
-    if matched == 0:
-        raise ValueError("country %r%s not found in %s; available countries: %s"
-                         % (country,
-                            "" if province is None else " (province %r)" % province,
-                            path, ", ".join(sorted(seen))))
-    return DailySeries(dates[0], total, kind)
+    # Read at line feeds alone, a line that a lone carriage return ends is
+    # decoded together with the next, so a UTF-8 fault there could come
+    # before a csv fault on that line: after a UTF-8 fault the file is read
+    # again at every line break, as csv reads it.
+    for newline in ("\n", ""):
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
+            records = _records(_lines(fh), path)
+            try:
+                try:
+                    return _sum_rows(records, path, country, kind, province)
+                except ValueError:
+                    for _ in records:  # a later csv or UTF-8 fault wins
+                        pass
+                    raise
+            except UnicodeDecodeError as exc:
+                fault = exc
+    raise ValueError("%s: %s" % (path, fault)) from None
 
 
 def default_data_dir() -> str:

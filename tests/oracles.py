@@ -6,6 +6,7 @@ dense quadrature), so agreement between the two is evidence rather than the
 same formula evaluated twice.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -160,3 +161,50 @@ def random_rate_sets(rng, count):
     i0 = 10.0 ** rng.uniform(0.0, 5.0, count)
     period = 10.0 ** rng.uniform(0.3, 2.5, count)
     return list(zip(alpha, beta, i0, period))
+
+
+def parse_jhu_rows(path, country, kind="confirmed_cumulative", province=None):
+    """series.parse_jhu_timeseries by reading every row of the file with
+    csv.reader before any check, each row's errors naming the physical line
+    its record starts on."""
+    from lockcycle.series import DailySeries, _parse_counts, _parse_header_dates
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        rows = []
+        try:
+            while True:
+                start = reader.line_num + 1
+                row = next(reader, None)
+                if row is None:
+                    break
+                rows.append((start, row))
+        except csv.Error as exc:
+            raise ValueError("%s: line %d: %s" % (path, reader.line_num, exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
+    if not rows:
+        raise ValueError("%s: empty file" % path)
+    header = rows[0][1]
+    if header[:4] != ["Province/State", "Country/Region", "Lat", "Long"]:
+        raise ValueError("%s: unexpected header %r; not a CSSE wide-format file"
+                         % (path, header[:4]))
+    if len(header) == 4:
+        raise ValueError("%s: no date columns" % path)
+    dates = _parse_header_dates(header[4:], str(path))
+    total = [0.0] * len(dates)
+    matched = 0
+    seen = set()
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError("%s: line %d has %d fields, expected %d"
+                             % (path, lineno, len(row), len(header)))
+        seen.add(row[1])
+        if row[1] == country and (province is None or row[0] == province):
+            total = [t + v for t, v in zip(total, _parse_counts(row[4:], path, lineno, dates))]
+            matched += 1
+    if matched == 0:
+        raise ValueError("country %r%s not found in %s; available countries: %s"
+                         % (country, "" if province is None else " (province %r)" % province,
+                            path, ", ".join(sorted(seen))))
+    return DailySeries(dates[0], total, kind)

@@ -1,12 +1,18 @@
 """Ingestion, reshaping, and long-format round trips for dated daily series."""
 
 import argparse
+import csv
 import datetime as dt
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from lockcycle import series
 from lockcycle.series import (
     DailySeries,
     _parse_header_dates,
@@ -141,6 +147,18 @@ class TestWideFormatParsing:
         with pytest.raises(ValueError, match="line 3 has 5 fields, expected 6"):
             parse_jhu_timeseries(p, "X")
 
+    @pytest.mark.parametrize("row, message", [
+        (",Y,0,0,5", "line 4 has 5 fields, expected 6"),
+        (",X,0,0,3,many", "line 4: could not convert"),
+        (",X,0,0,3,nan", "line 4 has the non-finite value 'nan' on 2020-01-23"),
+    ])
+    def test_row_errors_name_the_physical_line(self, tmp_path, row, message):
+        # the record on lines 2 and 3 is one csv row
+        p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,1/23/20\n"
+                                              '"Two\nLines",X,0,0,1,2\n' + row + "\n")
+        with pytest.raises(ValueError, match=message):
+            parse_jhu_timeseries(p, "X")
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_rejects_non_finite_cell(self, tmp_path, cell):
         p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,1/23/20\n"
@@ -240,6 +258,144 @@ class TestWideFormatParsing:
         p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,1/23/20\n,X,0,0,,5\n")
         s = parse_jhu_timeseries(p, "X")
         assert list(s.values) == [0.0, 5.0]
+
+
+def outcome(parse, *args):
+    """What parse gives: a series as its fields, or an error's message."""
+    try:
+        s = parse(*args)
+    except ValueError as exc:
+        return str(exc)
+    return s.start_date, s.values, s.kind
+
+
+class TestWideFormatScan:
+    def test_shifted_header_gets_its_own_dates(self, tmp_path):
+        first = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,1/23/20\n,X,0,0,1,2\n")
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text(WIDE_HEADER + ",1/23/20,1/24/20\n,X,0,0,1,2\n", encoding="utf-8")
+        assert parse_jhu_timeseries(first, "X").start_date == D(2020, 1, 22)
+        assert parse_jhu_timeseries(shifted, "X").start_date == D(2020, 1, 23)
+        assert parse_jhu_timeseries(first, "X").start_date == D(2020, 1, 22)
+
+    def test_failed_header_is_not_remembered(self, tmp_path):
+        good = wide_file(tmp_path, WIDE_HEADER + ",1/22/20\n,X,0,0,1\n")
+        assert parse_jhu_timeseries(good, "X").values == (1.0,)
+        remembered = series._last_header
+        for name in ("gap1.csv", "gap2.csv"):
+            gap = tmp_path / name
+            gap.write_text(WIDE_HEADER + ",1/22/20,1/24/20\n,X,0,0,1,2\n", encoding="utf-8")
+            with pytest.raises(ValueError) as exc:
+                parse_jhu_timeseries(gap, "X")
+            assert str(exc.value).startswith("%s: date columns must be consecutive" % gap)
+            assert series._last_header is remembered
+
+    def test_error_in_a_file_sharing_the_header_names_that_file(self, tmp_path):
+        header = WIDE_HEADER + ",1/22/20,1/23/20\n"
+        good = wide_file(tmp_path, header + ",X,0,0,1,2\n")
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(header + ",X,0,0,1,2\n,Y,0,0,5\n", encoding="utf-8")
+        parse_jhu_timeseries(good, "X")
+        with pytest.raises(ValueError) as exc:
+            parse_jhu_timeseries(ragged, "X")
+        assert str(exc.value) == "%s: line 3 has 5 fields, expected 6" % ragged
+
+    @pytest.mark.parametrize("first", [",Y,0,0,5", ",X,0,0,3,many"])
+    @pytest.mark.parametrize("header", [",1/22/20,1/23/20", ",1/22/20,1/24/20", ",1/22/20,9/9"])
+    def test_csv_fault_after_another_fault_is_the_one_reported(self, tmp_path, header, first):
+        # as when the whole file was read before any check
+        p = wide_file(tmp_path, WIDE_HEADER + header + "\n" + first + "\n"
+                                ',X,0,0,"%s",1\n' % ("7" * (csv.field_size_limit() + 1)))
+        assert outcome(parse_jhu_timeseries, p, "X") == (
+            "%s: line 3: field larger than field limit (%d)" % (p, csv.field_size_limit()))
+
+    def test_parse_holds_one_line_at_a_time(self, tmp_path):
+        # a real-size CSSE file: 290 rows over 1,143 days, about 2.7 MB; read
+        # whole and split, it peaked at 21 MB traced
+        days = [D(2020, 1, 22) + dt.timedelta(days=i) for i in range(1143)]
+        counts = ",".join(str(1_000_000 + 7 * i) for i in range(len(days)))
+        lines = [WIDE_HEADER + "".join(",%d/%d/%02d" % (d.month, d.day, d.year - 2000)
+                                       for d in days)]
+        lines += [',"Country %03d, The",12.5,-40.25,%s' % (i, counts) for i in range(290)]
+        path = wide_file(tmp_path, "\n".join(lines) + "\n")
+        assert os.path.getsize(path) > 2_500_000
+        tracemalloc.start()
+        try:
+            s = parse_jhu_timeseries(path, "Country 145, The")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(s), s.values[-1]) == (1143, 1_000_000 + 7 * 1142)
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("prefix, ending", [
+        (b"", b"\n"), (b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n"), (b"\xef\xbb\xbf", b"\r"),
+    ])
+    @pytest.mark.parametrize("bad_row", [0, 1, 30])
+    def test_utf8_fault_reports_the_byte_position_of_a_whole_file_read(
+            self, tmp_path, prefix, ending, bad_row):
+        # rows of 300 bytes, so the fault lies in the first 8 kB chunk or past
+        # it, and before or after a ragged row, which it outranks
+        lines = [WIDE_HEADER.encode() + b",1/22/20"]
+        lines += [b",X,0,0," + b"1" * 292 for _ in range(40)]
+        lines[1 + bad_row] = lines[1 + bad_row].replace(b"X", b"\xff")
+        lines[6] += b",5"
+        p = tmp_path / "bad.csv"
+        p.write_bytes(prefix + ending.join(lines) + ending)
+        message = outcome(parse_jhu_timeseries, p, "X")
+        assert message.startswith("%s: 'utf-8' codec can't decode byte 0xff in position" % p)
+        assert message == outcome(oracles.parse_jhu_rows, p, "X")
+
+    def test_csv_fault_before_a_utf8_fault_past_a_lone_carriage_return(self, tmp_path):
+        # the UTF-8 fault lies chunks past the csv fault, on the same run of
+        # bytes between line feeds
+        p = tmp_path / "cr.csv"
+        p.write_bytes(WIDE_HEADER.encode() + b",1/22/20\n,X,0,0,"
+                      + b"7" * (csv.field_size_limit() + 1) + b"\r,Y,0,0,"
+                      + b"1" * 20000 + b"\xff\n")
+        message = "%s: line 2: field larger than field limit" % p
+        assert outcome(oracles.parse_jhu_rows, p, "X").startswith(message)
+        assert outcome(parse_jhu_timeseries, p, "X").startswith(message)
+
+
+# cells that csv splits other than at every comma, or that the parse rejects
+ODD_CELLS = ['"A, B"', '"say ""hi"""', '"two\nlines"', '"cr\rcell"', '"open', '"', 'ab"',
+             '"A"x', '""', "x\0", "", " 3 ", "many", "nan", "1e400",
+             "7" * (csv.field_size_limit() + 1)]
+NAMES = ["X", "Y", '"X"', '"Korea, South"', '"Y ""Z"""']
+PROVINCES = ["", "P", '"P"', '"P, Q"']
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_scan_gives_what_csv_gives_reading_every_row(tmp_path_factory, data):
+    draw = data.draw
+    header = WIDE_HEADER + draw(st.sampled_from([",1/22/20,1/23/20,1/24/20"] * 4
+                                                + [',1/22/20,"1/23/20",1/24/20', ""]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["clean"] * 8 + ["ragged", "odd", "blank", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = [draw(st.sampled_from(PROVINCES)), draw(st.sampled_from(NAMES)), "0", "0"]
+        width = draw(st.sampled_from([1, 2, 4, 5])) if kind == "ragged" else 3
+        cells += [str(draw(st.integers(0, 9))) for _ in range(width)]
+        if kind == "odd":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        if kind == "long":  # a line past csv's field limit, though no cell is
+            cells[2] = cells[3] = "0" * (csv.field_size_limit() // 2 + 1)
+        lines.append(",".join(cells))
+    endings = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        endings[-1] = ""
+    text = draw(st.sampled_from(["", "﻿"])) + "".join(map(str.__add__, lines, endings))
+    path = tmp_path_factory.getbasetemp() / "scan.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    args = (path, draw(st.sampled_from(["X", "Y", "Korea, South", 'Y "Z"', "A, B", "W"])),
+            "deaths_cumulative", draw(st.sampled_from([None, "P", "P, Q", ""])))
+    assert outcome(parse_jhu_timeseries, *args) == outcome(oracles.parse_jhu_rows, *args)
 
 
 class TestDifference:
