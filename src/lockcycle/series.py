@@ -168,53 +168,26 @@ def _parse_counts(cells, path: str, lineno: int, dates) -> list:
     return values
 
 
-# a line break after a carriage return that no line feed follows
-_LONE_CR = re.compile(r"(?<=\r)(?!\n)")
-
-
-def _lines(fh):
-    """The lines of the text file fh, each with its line ending, as
-    newline="" gives them: a lone carriage return also ends a line.  fh may
-    be opened with newline="\n", as splitting at line feeds alone is the
-    much faster search."""
-    for line in fh:
-        if "\r" in line.removesuffix("\r\n"):
-            yield from filter(None, _LONE_CR.split(line))
-        else:
-            yield line
-
-
 def _records(lines, path):
-    """Each record of a csv file as (its first line's number, head, tail).
+    """Each record of a csv file as (its first line's number, cells, text).
 
-    A record on one line that is not blank, has no NUL and is shorter than
-    csv's field limit comes as a list of its leading cells and the text
-    after them, without the line ending, whose cells csv would give as
-    exactly tail.split(","), so a caller splits only what it needs.  With no
-    quote in the line the head is empty; otherwise it is what csv reads up
-    to the comma after the line's last quote, when that comma ends a field.
-    Any other record is read by csv from its first line and the lines after
-    it, quoting, a field spanning lines, the field limit and csv's errors
-    included, and comes as its cells and None.  Numbers count physical
-    lines, as an editor shows them.
+    A record on one line that is not blank and has no quote or NUL and is
+    shorter than csv's field limit comes as None and its text without the
+    line ending, whose cells csv would give as exactly text.split(","), so a
+    caller splits only what it needs.  Any other record is read by csv from
+    its first line and the lines after it, quoting, a field spanning lines,
+    the field limit and csv's errors included, and comes as its cells and
+    None.  Numbers count physical lines, as an editor shows them.
     """
     limit = csv.field_size_limit()
     lineno = 0
     for line in lines:
         lineno += 1
         # a line that starts with a line break is blank: csv reads no cells
-        if line[0] not in "\r\n" and "\0" not in line and len(line) < limit:
-            quote = line.rfind('"')
-            if quote == -1:
-                yield lineno, [], line.rstrip("\r\n")
-                continue
-            if line[quote + 1:quote + 2] == ",":
-                # the comma ends a field iff csv gives an empty cell after it;
-                # in a quoted field it would be read into the cell
-                head = next(csv.reader((line[:quote + 2],)))
-                if head[-1] == "":
-                    yield lineno, head[:-1], line[quote + 2:].rstrip("\r\n")
-                    continue
+        if (line[0] not in "\r\n" and '"' not in line and "\0" not in line
+                and len(line) < limit):
+            yield lineno, None, line.rstrip("\r\n")
+            continue
         reader = csv.reader(itertools.chain((line,), lines))
         try:
             cells = next(reader)
@@ -224,14 +197,14 @@ def _records(lines, path):
         lineno += reader.line_num - 1
 
 
-def _cells(head, tail, maxsplit=-1) -> list:
-    return head if tail is None else head + tail.split(",", maxsplit)
+def _cells(cells, text, maxsplit=-1) -> list:
+    return cells if text is None else text.split(",", maxsplit)
 
 
 # (header text, dates) of the last header decoded, as CSSE's global files
-# share one.  The text is the header's record as _records gives it, which
-# holds the line itself for a plain header.  A header that fails is decoded
-# again each time, so its error names the file at hand.
+# share one.  The text is the header's line, or its cells when csv read it.
+# A header that fails is decoded again each time, so its error names the
+# file at hand.
 _last_header = (None, ())
 
 
@@ -247,27 +220,27 @@ def _sum_rows(records, path, country, kind, province) -> DailySeries:
     first = next(records, None)
     if first is None:
         raise ValueError("%s: empty file" % path)
-    _, head, tail = first
-    header = _cells(head, tail)
+    _, cells, text = first
+    header = _cells(cells, text)
     if header[:4] != _JHU_HEADER:
         raise ValueError("%s: unexpected header %r; not a CSSE wide-format file" % (path, header[:4]))
     if len(header) == 4:
         raise ValueError("%s: no date columns" % path)
-    dates = _header_dates((tuple(head), tail), header[4:], str(path))
+    dates = _header_dates(text if cells is None else tuple(cells), header[4:], str(path))
 
     width = len(header)
     total = [0.0] * len(dates)
     matched = 0
     seen = set()
-    for lineno, head, tail in records:
-        n = len(head) if tail is None else len(head) + tail.count(",") + 1
+    for lineno, cells, text in records:
+        n = len(cells) if text is None else text.count(",") + 1
         if n != width:
             raise ValueError("%s: line %d has %d fields, expected %d" % (path, lineno, n, width))
-        state, name = _cells(head, tail, 2)[:2]
+        state, name = _cells(cells, text, 2)[:2]
         seen.add(name)
         if name != country or (province is not None and state != province):
             continue
-        values = _parse_counts(_cells(head, tail)[4:], path, lineno, dates)
+        values = _parse_counts(_cells(cells, text)[4:], path, lineno, dates)
         total = list(map(operator.add, total, values))
         matched += 1
     if matched == 0:
@@ -287,13 +260,11 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
     daily run in m/d/yy form.
 
     The file is read one line at a time.  A line that is not blank, has no
-    NUL and is shorter than csv's field limit is split with str methods:
-    all of it when it has no quote, else the part after the comma that ends
-    the field holding its last quote, the part before going through csv.
-    Only a row of the requested country is split in full.  Every other
-    line, and a record spanning lines, goes through csv.  The header's dates
-    are decoded once per distinct header, so CSSE's three files, which share
-    one, decode it once.  A fault names the file and the physical line that
+    quote or NUL and is shorter than csv's field limit is split with str
+    methods, and only a row of the requested country is split in full.
+    Every other line, and a record spanning lines, goes through csv.  The
+    header's dates are decoded once per distinct header, so CSSE's three
+    files, which share one, decode it once.  A fault names the file and the physical line that
     an editor shows; a csv or UTF-8 fault anywhere in the file comes before
     any other, as when the whole file was read first.
 
@@ -308,23 +279,17 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
     """
     if kind not in CUMULATIVE_KINDS:
         raise ValueError("kind must be cumulative, got %r" % kind)
-    # Read at line feeds alone, a line that a lone carriage return ends is
-    # decoded together with the next, so a UTF-8 fault there could come
-    # before a csv fault on that line: after a UTF-8 fault the file is read
-    # again at every line break, as csv reads it.
-    for newline in ("\n", ""):
-        with open(path, newline=newline, encoding="utf-8-sig") as fh:
-            records = _records(_lines(fh), path)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = _records(fh, path)
+        try:
             try:
-                try:
-                    return _sum_rows(records, path, country, kind, province)
-                except ValueError:
-                    for _ in records:  # a later csv or UTF-8 fault wins
-                        pass
-                    raise
-            except UnicodeDecodeError as exc:
-                fault = exc
-    raise ValueError("%s: %s" % (path, fault)) from None
+                return _sum_rows(records, path, country, kind, province)
+            except ValueError:
+                for _ in records:  # a later csv or UTF-8 fault wins
+                    pass
+                raise
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def default_data_dir() -> str:
