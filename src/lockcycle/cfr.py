@@ -24,10 +24,11 @@ the grid's matrix product, which rounds differently for one delay than for
 many, leaves each delay's fit the same however many delays are searched.  A
 delay stops at its first Newton step shorter than _SHORT_STEP, which in the
 quadratic regime leaves an error of the order of its square.  The integer
-delay k with the smallest residual wins.  Each evaluation, the grid's
-included, builds its block power matrices once, as read-only Toeplitz views
-of one ramp of powers, and runs every filter pass it needs on them.  The
-bundled Israel fit takes four evaluations.
+delay k with the smallest residual wins, and fit builds its state and
+a-derivative alone, the filter delaying its input by k days and by one.
+Each evaluation, the grid's included, builds its block power matrices once,
+as read-only Toeplitz views of one ramp of powers, and runs every filter
+pass it needs on them.  The bundled Israel fit takes four evaluations.
 
 The input series hold plain floats.  fit turns each into an array once,
 smooths it with a trailing moving average and aligns the two on their
@@ -81,15 +82,6 @@ class CfrModel(_Record):
         return self.scale_b / (1.0 - self.decay_a)
 
 
-def _delayed(values: np.ndarray, k: int) -> np.ndarray:
-    # shift right by k days along the last axis, zero-filled
-    if k == 0:
-        return values
-    out = np.zeros_like(values)
-    out[..., k:] = values[..., :-k]
-    return out
-
-
 _BLOCK = 32
 
 
@@ -121,10 +113,11 @@ def _pole(a, t: int):
             _lower_powers(powers[..., _BLOCK:] ** np.arange(_blocks(t))), powers[..., 1:])
 
 
-def _one_pole(x, pole) -> np.ndarray:
-    """s(t) = a*s(t-1) + x(t) along the last axis of x, from zero state.
+def _one_pole(x, pole, delay: int = 0) -> np.ndarray:
+    """s(t) = a*s(t-1) + x(t-delay) along the last axis of x, from zero state.
 
-    pole is _pole(a, t) for the t days of x.  a is a decay or an array of
+    pole is _pole(a, t) for the t days of x, and delay is at most t; x is
+    zero before its first day, so the first delay days of s are zero.  a is a decay or an array of
     decays broadcasting against the leading axes of x; the result has their
     broadcast shape plus the time axis.  Within a block of _BLOCK days the
     recursion is one matrix product with the lower-triangular powers of a.
@@ -136,7 +129,7 @@ def _one_pole(x, pole) -> np.ndarray:
     inner, outer, carry = pole
     blocks = outer.shape[-1]
     padded = np.zeros(x.shape[:-1] + (blocks * _BLOCK,))
-    padded[..., :t] = x
+    padded[..., delay:t] = x[..., :t - delay]
     y = padded.reshape(x.shape[:-1] + (blocks, _BLOCK)) @ inner
     ends = (y[..., None, :, -1] @ outer)[..., 0, :]
     y[..., 1:, :] += ends[..., :-1, None] * carry[..., None, :]
@@ -153,9 +146,7 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
     if len(new_cases) < model.delay_k:
         return DailySeries(new_cases.start_date, (), "daily_deaths")
     values = np.asarray(new_cases.values, dtype=float)
-    # s_k(t) = s_0(t-k): the recursion is linear, time-invariant and starts
-    # from zero, so every delay shares the zero-delay state
-    s = _delayed(_one_pole(values, _pole(model.decay_a, len(values))), model.delay_k)
+    s = _one_pole(values, _pole(model.decay_a, len(values)), model.delay_k)
     return DailySeries(new_cases.start_date, (model.scale_b * s).tolist(), "daily_deaths")
 
 
@@ -190,14 +181,15 @@ def _profile_slopes(cases, ahead, mask, a):
     """
     pole = _pole(a, len(cases))
     s = _one_pole(cases, pole) * mask
-    s1 = _one_pole(_delayed(s, 1), pole) * mask
-    s2 = 2.0 * _one_pole(_delayed(s1, 1), pole) * mask
+    s1 = _one_pole(s, pole, 1) * mask
+    # d2s/da2 / 2; r is zero past the mask, so s2 needs none
+    s2 = _one_pole(s1, pole, 1)
     b, q = _best_scale(s, ahead)
     r = ahead - b[:, None] * s
     rs1 = _rowdot(r, s1)
     db = np.divide(rs1 - b * _rowdot(s, s1), q, out=np.zeros_like(q), where=b > 0.0)
     slope = -2.0 * b * rs1
-    curvature = 2.0 * b * (b * _rowdot(s1, s1) - _rowdot(r, s2)) - 2.0 * q * db * db
+    curvature = 2.0 * b * (b * _rowdot(s1, s1) - 2.0 * _rowdot(r, s2)) - 2.0 * q * db * db
     return slope, curvature
 
 
@@ -214,7 +206,7 @@ def _grid_profiles(cases, ahead, mask):
 
 
 def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
-    """Best (a, b, sse) arrays and the masked states s_0 at a, one entry per delay in ks.
+    """The profile of the search: best (a, b, sse) arrays, one entry per delay in ks.
 
     Every delay works on the zero-delay state s_0: row j of `ahead` holds the
     deaths k_j days after each state day and `mask` the state days that have
@@ -234,7 +226,8 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     is quadratic that close to its minimum, so the step leaves an error of
     the order of its square, under 1e-12, and a further evaluation would
     only confirm it.  A row also stops on any step, Newton or bisection,
-    below _STEP_TOL.
+    below _STEP_TOL.  A last pass at each final decay gives b and the SSE
+    there, as the loop's last evaluation lies one step behind it.
     """
     t = len(cases)
     days = np.arange(t)
@@ -278,7 +271,7 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     resid = ahead - b[:, None] * states
     # deaths before the delay face a zero prediction
     head = np.concatenate([[0.0], np.cumsum(deaths * deaths)])[ks]
-    return a, b, head + _rowdot(resid, resid), states
+    return a, b, head + _rowdot(resid, resid)
 
 
 def _moving_average(values, window_days: int) -> np.ndarray:
@@ -338,15 +331,15 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
                          "fitted points" % (k_hi, len(n), smooth_window))
 
     ks = np.arange(k_lo, k_hi + 1)
-    a_by_k, b_by_k, sse_by_k, states = _fit_decays(n, d, ks)
+    a_by_k, b_by_k, sse_by_k = _fit_decays(n, d, ks)
     best = 0
     for j in range(1, len(ks)):
         if sse_by_k[j] < sse_by_k[best] * (1.0 - 1e-12):
             best = j
     k, a, b, sse = int(ks[best]), float(a_by_k[best]), float(b_by_k[best]), float(sse_by_k[best])
-    # the search's final state for delay k; only its a-derivative takes a pass
-    s = _delayed(states[best], k)
-    cv_a, cv_b = _cvs(s, _one_pole(_delayed(s, 1), _pole(a, len(n))), sse, a, b)
+    pole = _pole(a, len(n))
+    s = _one_pole(n, pole, k)
+    cv_a, cv_b = _cvs(s, _one_pole(s, pole, 1), sse, a, b)
     fitted = DailySeries(start, (b * s).tolist(), "daily_deaths")
     return CfrModel(k, a, b, sse=sse, cv_a=cv_a, cv_b=cv_b, fitted_deaths=fitted)
 

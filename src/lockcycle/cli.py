@@ -36,11 +36,6 @@ DEFAULT_ALPHA = 0.0410
 DEFAULT_BETA = 0.0553
 
 
-def _s3(x) -> str:
-    # 3 significant figures for human tables; structured output stays exact
-    return "%.3g" % x
-
-
 def _parse_iso(text, flag):
     try:
         return dt.date.fromisoformat(text)
@@ -150,10 +145,11 @@ def _data_dir(args):
 def _render(args, human, payload, header=("field", "value"), rows=None) -> None:
     """Write one command's result in the format args.format and args.out ask for.
 
-    human is the summary's lines and payload the JSON document.  The CSV
-    document is header, then rows of cells, by default the payload's scalar
-    items; csv writes None as an empty cell and a float as float.__repr__
-    gives it.
+    human is the summary text and payload the JSON document; every command
+    but ingest fills its summary from the payload, values to 3 significant
+    figures.  The CSV document is header, then rows of cells, by default the
+    payload's scalar items; csv writes None as an empty cell and a float as
+    float.__repr__ gives it.
     """
     fmt, out = args.format, args.out
     if out and fmt is None:
@@ -178,7 +174,7 @@ def _render(args, human, payload, header=("field", "value"), rows=None) -> None:
     elif fmt is not None:
         write(sys.stdout)
         return
-    print("\n".join(human))
+    print(human)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -201,16 +197,12 @@ def cmd_schedule(args) -> int:
         "average_rt": core.average_rt(sched),
         "phases": [{"rt": p.rt, "duration": p.duration} for p in sched.phases],
     }
-    human = [
-        "balanced two-phase schedule",
-        "  period      %s days" % _s3(params.period),
-        "  open        %s days at R_t %s (growth %s /day)"
-        % (_s3(t_open), _s3(params.r_open), _s3(params.alpha)),
-        "  close       %s days at R_t %s (decay %s /day)"
-        % (_s3(t_close), _s3(params.r_close), _s3(params.beta)),
-        "  gamma       %s /day" % _s3(params.gamma),
-        "  average R_t over the cycle: %s" % _s3(payload["average_rt"]),
-    ]
+    human = ("balanced two-phase schedule\n"
+             "  period      {period:.3g} days\n"
+             "  open        {t_open:.3g} days at R_t {r_open:.3g} (growth {alpha:.3g} /day)\n"
+             "  close       {t_close:.3g} days at R_t {r_close:.3g} (decay {beta:.3g} /day)\n"
+             "  gamma       {gamma:.3g} /day\n"
+             "  average R_t over the cycle: {average_rt:.3g}").format(**payload)
     _render(args, human, payload)
     return EXIT_OK
 
@@ -225,7 +217,6 @@ def cmd_simulate(args) -> int:
     else:  # oc-then-co
         sched = core.PhaseSchedule(oc.phases + core.swap_cycle(oc).phases)
     traj = core.solve_trajectory(params.i0, sched, params.gamma, sample_step=args.step)
-    peak = traj.active.index(max(traj.active))  # the first of equal maxima
     payload = {
         "order": args.order,
         "gamma": params.gamma,
@@ -238,16 +229,17 @@ def cmd_simulate(args) -> int:
         "times": traj.times,
         "active": traj.active,
     }
-    human = [
-        "active-case trajectory, %s order, %s days" % (args.order, _s3(sched.period)),
-        "  samples     %d (step %s days)" % (len(traj.times), _s3(args.step)),
-        "  start       %s" % _s3(params.i0),
-        "  peak        %s at day %s" % (_s3(traj.active[peak]), _s3(traj.times[peak])),
-        "  end         %s" % _s3(traj.active[-1]),
-    ]
-    human += ["  phase edge  day %-8s active %s" % (_s3(t), _s3(v))
-              for t, v in traj.phase_boundaries[1:]]
-    _render(args, human, payload, ("time", "active"), zip(traj.times, traj.active))
+    times, active = payload["times"], payload["active"]
+    peak = active.index(max(active))  # the first of equal maxima
+    human = ("active-case trajectory, {order} order, {period:.3g} days\n"
+             "  samples     {samples} (step {step:.3g} days)\n"
+             "  start       {i0:.3g}\n"
+             "  peak        {peak:.3g} at day {peak_day:.3g}\n"
+             "  end         {end:.3g}").format(samples=len(times), peak=active[peak],
+                                               peak_day=times[peak], end=active[-1], **payload)
+    human += "".join("\n  phase edge  day {time:<8.3g} active {active:.3g}".format(**edge)
+                     for edge in payload["phase_boundaries"][1:])
+    _render(args, human, payload, ("time", "active"), zip(times, active))
     return EXIT_OK
 
 
@@ -270,16 +262,14 @@ def cmd_compare_costs(args) -> int:
         "i_max": oc.i_max,
         "peak_factor": oc.i_max / params.i0,
     }
-    human = [
-        "cycle-order cost comparison (alpha %s, beta %s /day, I0 %s, %s days)"
-        % (_s3(params.alpha), _s3(params.beta), _s3(params.i0), _s3(params.period)),
-        "  open-close cost   %s person-days" % _s3(oc.auc_active),
-        "  close-open cost   %s person-days" % _s3(co.auc_active),
-        "  constant cost     %s person-days" % _s3(const.auc_active),
-        "  OC / CO ratio     %s" % _s3(ratio),
-        "  peak factor       %s (peak %s from %s)"
-        % (_s3(payload["peak_factor"]), _s3(oc.i_max), _s3(params.i0)),
-    ]
+    human = ("cycle-order cost comparison "
+             "(alpha {alpha:.3g}, beta {beta:.3g} /day, I0 {i0:.3g}, {period:.3g} days)\n"
+             "  open-close cost   {cost_oc:.3g} person-days\n"
+             "  close-open cost   {cost_co:.3g} person-days\n"
+             "  constant cost     {cost_const:.3g} person-days\n"
+             "  OC / CO ratio     {ratio_oc_over_co:.3g}\n"
+             "  peak factor       {peak_factor:.3g} (peak {i_max:.3g} from {i0:.3g})"
+             ).format(**payload)
     _render(args, human, payload)
     return EXIT_OK
 
@@ -306,20 +296,16 @@ def cmd_fit_cfr(args) -> int:
         "cv_a_percent": model.cv_a,
         "cv_b_percent": model.cv_b,
     }
-    human = [
-        "fatality kernel fit for %s, %s..%s" % (args.country, date_from, date_to),
-        "  smoothing    %d-day trailing mean" % args.smooth_window,
-        "  delay range  %d..%d days" % (args.k_min, args.k_max),
-        "  delay k      %d days" % model.delay_k,
-        "  decay a      %s" % _s3(model.decay_a),
-        "  scale b      %s" % _s3(model.scale_b),
-        "  CFR          %s" % _s3(model.cfr),
-        "  sse          %s" % _s3(model.sse),
-    ]
-    if model.cv_a is not None:
-        human.append("  cv(a)        %s%%" % _s3(model.cv_a))
-    if model.cv_b is not None:
-        human.append("  cv(b)        %s%%" % _s3(model.cv_b))
+    human = ("fatality kernel fit for {country}, {date_from}..{date_to}\n"
+             "  smoothing    {smooth_window}-day trailing mean\n"
+             "  delay range  {k_min}..{k_max} days\n"
+             "  delay k      {delay_k} days\n"
+             "  decay a      {decay_a:.3g}\n"
+             "  scale b      {scale_b:.3g}\n"
+             "  CFR          {cfr:.3g}\n"
+             "  sse          {sse:.3g}").format(**payload)
+    cvs = ("a", payload["cv_a_percent"]), ("b", payload["cv_b_percent"])
+    human += "".join("\n  cv({})        {:.3g}%".format(p, cv) for p, cv in cvs if cv is not None)
     _render(args, human, payload)
     return EXIT_OK
 
@@ -344,15 +330,14 @@ def cmd_ingest(args) -> int:
     for s in derived:
         report = ser.ingest_report(s)
         if report:
-            spots = ", ".join("%s (%s)" % (day.isoformat(), _s3(value))
-                              for day, value in report)
+            spots = ", ".join("{} ({:.3g})".format(day, value) for day, value in report)
             human.append("  note: %s has %d negative %s: %s"
                          % (s.kind, len(report),
                             "daily change(s)" if s.kind in ser.CUMULATIVE_KINDS
                             else "value(s)", spots))
     records = ser.long_records(derived)
     rows = ((r["date"], r["kind"], r["value"]) for r in records)
-    _render(args, human, records, ("date", "kind", "value"), rows)
+    _render(args, "\n".join(human), records, ("date", "kind", "value"), rows)
     return EXIT_OK
 
 
@@ -375,21 +360,16 @@ def cmd_validate(args) -> int:
         "predicted_ratio_from_model": report.predicted_ratio_from_model,
         "checks": checks,
     }
-    human = [
-        "two-cycle validation on %s" % data_dir,
-        "  open-first window   %s..%s  %s cases"
-        % (report.oc_window[0], report.oc_window[1], _s3(report.oc_cases)),
-        "  close-first window  %s..%s  %s cases"
-        % (report.co_window[0], report.co_window[1], _s3(report.co_cases)),
-        "  CFR used            %s (%s)" % (_s3(report.cfr_used), cfr_source),
-        "  estimated deaths    %s vs %s" % (_s3(report.oc_deaths_est), _s3(report.co_deaths_est)),
-        "  death ratio         %s" % _s3(report.death_ratio),
-        "  predicted ratio     %s (peak over baseline active)" % _s3(report.predicted_ratio_from_model),
-    ]
-    for c in checks:
-        human.append("  %-4s %-28s %s in [%s, %s]"
-                     % ("ok" if c["ok"] else "FAIL", c["name"], _s3(c["value"]),
-                        _s3(c["low"]), _s3(c["high"])))
+    human = ("two-cycle validation on {data_dir}\n"
+             "  open-first window   {oc_window[0]}..{oc_window[1]}  {oc_cases:.3g} cases\n"
+             "  close-first window  {co_window[0]}..{co_window[1]}  {co_cases:.3g} cases\n"
+             "  CFR used            {cfr_used:.3g} ({cfr_source})\n"
+             "  estimated deaths    {oc_deaths_est:.3g} vs {co_deaths_est:.3g}\n"
+             "  death ratio         {death_ratio:.3g}\n"
+             "  predicted ratio     {predicted_ratio_from_model:.3g} (peak over baseline active)"
+             ).format(data_dir=data_dir, **payload)
+    human += "".join("\n  {:<4} {name:<28} {value:.3g} in [{low:.3g}, {high:.3g}]"
+                     .format("ok" if c["ok"] else "FAIL", **c) for c in payload["checks"])
     rows = [(k, "%s..%s" % tuple(v) if isinstance(v, list) else v)
             for k, v in payload.items() if k != "checks"]
     rows += [("check:%s" % c["name"], "PASS" if c["ok"] else "FAIL") for c in checks]

@@ -1,8 +1,13 @@
-"""The pair-benchmark tool's summary and run parsing, on canned result lines."""
+"""The pair-benchmark tool's summary and run parsing, on canned result lines,
+and its clean-up when it is stopped."""
 
 import importlib.util
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -107,3 +112,59 @@ def test_declared_directions_cover_every_benchmark_metric(tool):
     assert better["ops_per_s"] == "higher" and better["setup_s"] == "lower"
     assert better["cfr.fit_ms"] == "lower"
     assert set(better.values()) == {"higher", "lower"}
+
+
+def processes_naming(text):
+    """{pid: command line} of the live processes whose command line holds text."""
+    found = {}
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open("/proc/%s/cmdline" % pid, "rb") as fh:
+                cmdline = fh.read()
+        except OSError:  # ended meanwhile
+            continue
+        if text.encode() in cmdline:
+            found[int(pid)] = cmdline
+    return found
+
+
+def wait_for(condition, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes through /proc")
+def test_sigterm_kills_the_run_and_removes_the_export(tmp_path):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    cmd = [sys.executable, TOOL, "--parent", "HEAD", "--out", str(tmp_path / "bench.json"),
+           "--workload", "fit_batch", "--seed", "7", "--pairs", "1"]
+    tool = subprocess.Popen(cmd, env=dict(os.environ, TMPDIR=str(tmp_path)),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        exports = lambda: [p for p in tmp_path.iterdir() if p.name.startswith("bench-parent-")]
+        assert wait_for(exports)
+        export = str(exports()[0])
+        # the first pair runs the parent side first, from the export; the
+        # run starts fresh interpreters of its own to time its set-up
+        runs = lambda: [pid for pid, cmdline in processes_naming(export).items()
+                        if b"--setup-only" not in cmdline]
+        assert wait_for(runs)
+        (run,) = runs()
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+    assert not os.path.exists(export)
+    assert not (tmp_path / "bench.json").exists()
+    # the tool waited for the run, so it has ended, not merely been signalled
+    assert not os.path.exists("/proc/%d" % run)
+    # a set-up interpreter ends once it finds the run's pipe closed
+    assert wait_for(lambda: not processes_naming(str(tmp_path)), 10.0)

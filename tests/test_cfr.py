@@ -7,7 +7,7 @@ import pytest
 
 import lockcycle.series as ser
 from lockcycle.cfr import CfrModel, fit as fit_cfr, predict_deaths
-from lockcycle.cfr import (_GRID, _TOP, _delayed, _fit_decays, _grid_profiles, _lower_powers,
+from lockcycle.cfr import (_GRID, _TOP, _fit_decays, _grid_profiles, _lower_powers,
                            _cvs, _moving_average, _one_pole, _pole, _profile_slopes)
 from lockcycle.series import FIT_FROM, FIT_TO, DailySeries
 
@@ -145,6 +145,26 @@ def test_one_pole_matches_direct_convolution(days):
                                    rtol=1e-13)
 
 
+@pytest.mark.parametrize("delay", [0, 1, 9])
+def test_delayed_one_pole_is_the_delayed_kernel(delay):
+    # a scalar decay, decays on shared 1-D cases, and a batch of 2-D rows;
+    # 101 days is not a whole number of blocks
+    rng = np.random.default_rng(delay)
+    cases = rng.uniform(0.0, 300.0, 101)
+    rows = rng.uniform(0.0, 300.0, (len(DECAYS), 101))
+    b = 0.004
+    pole = _pole(DECAYS, 101)
+    shared = b * _one_pole(cases, pole, delay)
+    batched = b * _one_pole(rows, pole, delay)
+    for i, a in enumerate(DECAYS):
+        expected = oracles.convolve_direct(cases, delay, a, b)
+        np.testing.assert_allclose(b * _one_pole(cases, _pole(a, 101), delay), expected,
+                                   rtol=1e-13)
+        np.testing.assert_allclose(shared[i], expected, rtol=1e-13)
+        np.testing.assert_allclose(batched[i], oracles.convolve_direct(rows[i], delay, a, b),
+                                   rtol=1e-13)
+
+
 @pytest.mark.parametrize("decays, size", [(0.943, 32), (DECAYS, 32), (DECAYS, 1),
                                           ([[0.5, 0.0], [0.999999, 0.9]], 7)])
 def test_lower_powers_are_the_masked_powers(decays, size):
@@ -165,7 +185,7 @@ def test_one_pole_decay_derivative_matches_central_difference():
     cases = rng.uniform(0.0, 300.0, 101)
     h = 1e-6
     for a in DECAYS:
-        ds_da = one_pole(_delayed(one_pole(cases, a), 1), a)
+        ds_da = _one_pole(one_pole(cases, a), _pole(a, len(cases)), 1)
         central = (one_pole(cases, a + h) - one_pole(cases, a - h)) / (2.0 * h)
         np.testing.assert_allclose(ds_da, central, rtol=1e-6)
 
@@ -597,7 +617,7 @@ def test_cvs_degenerate_inputs():
         pole = _pole(a, len(cases))
         s = _one_pole(cases, pole)
         resid = deaths - b * s
-        return _cvs(s, _one_pole(_delayed(s, 1), pole), float(resid @ resid), a, b)
+        return _cvs(s, _one_pole(s, pole, 1), float(resid @ resid), a, b)
 
     assert cvs(np.ones(1), np.ones(1), 0.5, 0.1) == (None, None)
     # zero state gives a singular normal matrix

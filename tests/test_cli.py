@@ -632,12 +632,12 @@ class TestBadArguments:
         payload = {"ok": 1.0, "bad": float("nan")}
         options = argparse.Namespace(format="json", out=None)
         with pytest.raises(ValueError):
-            _render(options, ["summary"], payload)
+            _render(options, "summary", payload)
         assert capsys.readouterr().out == ""
         out_path = tmp_path / "doc.json"
         options.out = str(out_path)
         with pytest.raises(ValueError):
-            _render(options, ["summary"], payload)
+            _render(options, "summary", payload)
         assert not out_path.exists()
         assert capsys.readouterr().out == ""
 

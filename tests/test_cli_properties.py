@@ -198,3 +198,58 @@ def test_fit_delay_range_and_smoothing_across_the_series(delays, window, span):
     doc = strict_json(out)
     for key in ("cv_a_percent", "cv_b_percent"):
         assert doc[key] is None or math.isfinite(doc[key]), (key, doc[key])
+
+
+# a number as a summary shows it: '%.3g' of a value, or a whole count
+SHOWN = re.compile(r"(?<![\w.-])-?\d[\d.]*(?:e[-+]\d+)?")
+
+
+def simulate_shows(doc):
+    times, active = doc["times"], doc["active"]
+    peak = active.index(max(active))
+    shown = [doc["period"], len(times), doc["step"], doc["i0"], active[peak], times[peak],
+             active[-1]]
+    for edge in doc["phase_boundaries"][1:]:
+        shown += [edge["time"], edge["active"]]
+    return shown
+
+
+# the JSON values each summary shows, in the order it shows them
+SUMMARY_VALUES = {
+    "schedule": lambda doc: [doc[k] for k in ("period", "t_open", "r_open", "alpha", "t_close",
+                                              "r_close", "beta", "gamma", "average_rt")],
+    "compare-costs": lambda doc: [doc[k] for k in ("alpha", "beta", "i0", "period", "cost_oc",
+                                                   "cost_co", "cost_const", "ratio_oc_over_co",
+                                                   "peak_factor", "i_max", "i0")],
+    "simulate": simulate_shows,
+}
+
+
+@st.composite
+def strategy_flags(draw, command):
+    gamma = draw(st.floats(0.02, 1.0))
+    flags = {"--alpha": draw(st.floats(1e-3, 1.0)),
+             "--beta": gamma * draw(st.floats(0.01, 1.0)),
+             "--gamma": gamma,
+             "--i0": draw(st.floats(1.0, 1e9)),
+             "--period": draw(st.floats(1.0, 200.0))}
+    if command == "simulate":
+        flags["--step"] = draw(st.floats(0.5, 10.0))
+        flags["--order"] = draw(st.sampled_from(["oc", "co", "oc-then-co"]))
+    return [text for flag, value in flags.items() for text in (flag, str(value))]
+
+
+@pytest.mark.parametrize("command", sorted(SUMMARY_VALUES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_summary_shows_the_json_values(command, data):
+    """Every number in the summary is the JSON document's own value to 3
+    significant figures, so the two come from one source."""
+    argv = [command, *data.draw(strategy_flags(command))]
+    rc, human, err = run_main(argv)
+    assert rc == 0, (argv, err)
+    rc, out, err = run_main(argv + ["--format", "json"])
+    assert rc == 0, (argv, err)
+    expected = [str(v) if isinstance(v, int) else "%.3g" % v
+                for v in SUMMARY_VALUES[command](strict_json(out))]
+    assert SHOWN.findall(human) == expected, argv

@@ -516,7 +516,7 @@ class TestLongFormat:
         cases, deaths = self.make_pair()
         path = str(tmp_path / "long.csv")
         records = long_records([cases, deaths])
-        _render(argparse.Namespace(format="csv", out=path), [], records,
+        _render(argparse.Namespace(format="csv", out=path), "", records,
                 ("date", "kind", "value"), [tuple(r.values()) for r in records])
         back = read_long_csv(path)
         assert set(back) == {"new_cases", "daily_deaths"}
@@ -529,7 +529,7 @@ class TestLongFormat:
     def test_json_round_trip_is_lossless(self, tmp_path, capsys):
         cases, deaths = self.make_pair()
         path = str(tmp_path / "long.json")
-        _render(argparse.Namespace(format=None, out=path), [], long_records([cases, deaths]))
+        _render(argparse.Namespace(format=None, out=path), "", long_records([cases, deaths]))
         back = read_long_json(path)
         for original in (cases, deaths):
             got = back[original.kind]

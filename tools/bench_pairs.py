@@ -21,6 +21,9 @@ spread, and whether both hold strongly enough to claim a gain: at least
 nine pairs in ten won and the medians apart by more than that spread.  The file is rewritten after every pair.  A file that already holds
 runs of the same two source trees keeps them and gains the new set, so one
 file carries several workloads and seeds.
+
+Stopped by SIGTERM or Ctrl-C, the tool kills the running benchmark, waits
+for it and removes the exported parent tree; SIGTERM makes it exit 143.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -153,8 +157,15 @@ def _parse(argv):
     return p.parse_args(argv)
 
 
+def _stop(signum, frame):
+    # subprocess.run kills and waits for its child on any exception, and
+    # main's finally removes the export
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     args = _parse(argv)
+    signal.signal(signal.SIGTERM, _stop)
     parent_rev = _git("rev-parse", args.parent).decode().strip()
     head = _git("rev-parse", "HEAD").decode().strip()
     dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench").strip())
