@@ -8,11 +8,11 @@ and a command line that parses, calls and renders (cli).
 The package exports the names of the numpy-free core and costs modules,
 which load with it.  series, validation and cfr are registered as lazy
 modules: each is in sys.modules from the start but runs only on first
-attribute access, and cfr then imports numpy.  cli loads when it is
-imported.  The names of cfr, series, validation and cli are imported from
-their own modules.  So schedule, simulate and compare-costs run only core,
-costs and cli, and only the commands that fit, fit-cfr and validate, load
-numpy.
+attribute access.  cfr is the only module that imports numpy.  cli loads
+when it is imported.  The names of cfr, series, validation and cli are
+imported from their own modules.  So schedule, simulate and compare-costs
+run only core, costs and cli, and only the commands that fit, fit-cfr and
+validate, load numpy.
 """
 
 import sys as _sys

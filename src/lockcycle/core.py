@@ -49,6 +49,18 @@ def _require_positive(**values) -> None:
             raise ValueError("%s must be positive" % name)
 
 
+def _floats(values, error="values must be one-dimensional") -> tuple:
+    # a one-dimensional sequence of numbers as a tuple of floats; anything
+    # else raises ValueError(error).  A string is a sequence of
+    # one-character strings that float() reads
+    if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
+        raise ValueError(error)
+    try:
+        return tuple(map(float, values))
+    except TypeError:  # a scalar, or an item that is itself a sequence
+        raise ValueError(error) from None
+
+
 def _require_in_range(what: str, results, low=0.0, **inputs) -> None:
     # The closed forms map positive finite inputs to results above low, so any
     # other result means an exponential or a product left the float range.
@@ -232,6 +244,12 @@ class Trajectory(_Record):
     rates: tuple
 
 
+def _t_open(alpha: float, beta: float, period: float) -> float:
+    # the open phase of the balanced split of period; costs takes its
+    # exponent alpha*t_open from this same expression
+    return beta * period / (alpha + beta)
+
+
 def phase_lengths(params: StrategyParams):
     """Split params.period into (t_open, t_close) so the cycle is balanced.
 
@@ -240,7 +258,7 @@ def phase_lengths(params: StrategyParams):
     rates this is t_open = beta*period/(alpha + beta), which also makes the
     growth and decay exponents cancel exactly: alpha*t_open = beta*t_close.
     """
-    t_open = params.beta * params.period / (params.alpha + params.beta)
+    t_open = _t_open(params.alpha, params.beta, params.period)
     split = (t_open, params.period - t_open)
     # alpha + beta overflows for rates near the float maximum, leaving t_open 0
     _require_in_range("the balanced split", split,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Trajectory, _Record, _require_in_range, _require_positive
+from .core import Trajectory, _floats, _Record, _require_in_range, _require_positive, _t_open
 
 __all__ = [
     "CostReport",
@@ -50,15 +50,10 @@ class CostReport(_Record):
                           **{k: v for k, v in inputs.items() if v is not None})
 
 
-def _open_exponent(alpha: float, beta: float, period: float) -> float:
-    # alpha * t_open for the balanced split t_open = beta*period/(alpha+beta)
-    return alpha * (beta * period / (alpha + beta))
-
-
 def cost_oc(alpha: float, beta: float, i0: float, period: float) -> CostReport:
     """Cost of the open-first cycle: grow to the peak, then decay back to i0."""
     _require_positive(alpha=alpha, beta=beta, i0=i0, period=period)
-    x = _open_exponent(alpha, beta, period)
+    x = alpha * _t_open(alpha, beta, period)
     try:
         growth, peak = math.expm1(x), math.exp(x)
     except OverflowError:  # past the float range, which CostReport rejects
@@ -77,7 +72,7 @@ def cost_co(alpha: float, beta: float, i0: float, period: float) -> CostReport:
     The curve never exceeds its starting value, so i_max = i0 at t = 0.
     """
     _require_positive(alpha=alpha, beta=beta, i0=i0, period=period)
-    x = _open_exponent(alpha, beta, period)
+    x = alpha * _t_open(alpha, beta, period)
     return CostReport(
         strategy_tag="CO",
         auc_active=(1.0 / beta + 1.0 / alpha) * (-math.expm1(-x)) * i0,
@@ -112,7 +107,7 @@ def cost_ratio(oc: CostReport, co: CostReport) -> float:
                          % (oc.alpha, oc.beta, oc.i0, oc.period,
                             co.alpha, co.beta, co.i0, co.period))
     ratio = oc.auc_active / co.auc_active
-    reference = math.exp(_open_exponent(oc.alpha, oc.beta, oc.period))
+    reference = math.exp(oc.alpha * _t_open(oc.alpha, oc.beta, oc.period))
     if not math.isclose(ratio, reference, rel_tol=1e-9):
         raise ArithmeticError("cost ratio %.17g disagrees with exp(alpha*t_open) = %.17g"
                               % (ratio, reference))
@@ -125,20 +120,20 @@ def auc_numeric(traj) -> float:
     Solved trajectories integrate each exponential arc between consecutive
     phase edges exactly: (I_end - I_start)/rate, or I*duration where the rate
     is zero.  Empirical samples, given as matching one-dimensional (times,
-    values) arrays of at least two samples, take the trapezoid rule.
+    values) sequences of at least two numbers, take the trapezoid rule.
     """
     if isinstance(traj, Trajectory):
         edges = traj.phase_boundaries
         return math.fsum(v0 * (t1 - t0) if rate == 0.0 else (v1 - v0) / rate
                          for (t0, v0), (t1, v1), rate in zip(edges, edges[1:], traj.rates))
-    import numpy as np
-
-    times, values = (np.asarray(a, dtype=float) for a in traj)
-    if times.shape != values.shape or times.ndim != 1:
-        raise ValueError("times and values must be matching one-dimensional arrays")
+    mismatch = "times and values must be matching one-dimensional arrays"
+    times, values = (_floats(a, mismatch) for a in traj)
+    if len(times) != len(values):
+        raise ValueError(mismatch)
     if len(times) < 2:
         raise ValueError("need at least two samples")
-    return float(np.trapezoid(values, times))
+    return math.fsum((t1 - t0) * (v0 + v1) / 2.0
+                     for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:]))
 
 
 def _endpoints(traj):

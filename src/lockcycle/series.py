@@ -19,7 +19,7 @@ import operator
 import os
 import re
 
-from .core import _Record
+from .core import _floats, _Record
 
 __all__ = [
     "KINDS",
@@ -80,15 +80,7 @@ class DailySeries(_Record):
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown series kind %r; expected one of %s" % (self.kind, ", ".join(KINDS)))
-        values = self.values
-        # a string is a sequence of one-character strings that float() reads
-        if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
-            raise ValueError("values must be one-dimensional")
-        try:
-            values = tuple(map(float, values))
-        except TypeError:  # a scalar, or an item that is itself a sequence
-            raise ValueError("values must be one-dimensional") from None
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _floats(self.values))
 
     def __len__(self):
         return len(self.values)
@@ -113,7 +105,6 @@ class DailySeries(_Record):
 # alone would also take signs, inner blanks and non-ASCII digits.  A
 # four-digit year is taken as written, so it starts at 1000
 _MDY = re.compile(r"\s*([0-9]{1,2})/([0-9]{1,2})/([0-9]{2}|[1-9][0-9]{3})\s*")
-_ONE_DAY = dt.timedelta(days=1)
 
 
 def _parse_mdy(token: str, path: str, column: int) -> dt.date:
@@ -129,28 +120,12 @@ def _parse_mdy(token: str, path: str, column: int) -> dt.date:
 
 def _parse_header_dates(tokens, path: str) -> list:
     """The dates of the header's date columns (column 5 on), which must be
-    consecutive days.
-
-    A token that is the canonical m/d/yy form of the day after the previous
-    column's, as CSSE writes them, is taken without a regex match.  Any
-    other token goes through _parse_mdy, so every bad column is reported
-    before the first gap, as when every column was parsed first.
-    """
-    dates = [_parse_mdy(tokens[0], path, 5)]
-    gap = None
-    for column, token in enumerate(tokens[1:], start=6):
-        prev = dates[-1]
-        day = prev + _ONE_DAY
-        # two-digit years name 2000..2099 only
-        if not (2000 <= day.year < 2100
-                and token == "%d/%d/%02d" % (day.month, day.day, day.year - 2000)):
-            day = _parse_mdy(token, path, column)
-            if gap is None and (day - prev).days != 1:
-                gap = prev, day
-        dates.append(day)
-    if gap is not None:
-        raise ValueError("%s: date columns must be consecutive days; gap between %s and %s"
-                         % ((path,) + gap))
+    consecutive days; every bad column is reported before the first gap."""
+    dates = [_parse_mdy(token, path, column) for column, token in enumerate(tokens, start=5)]
+    for prev, day in zip(dates, dates[1:]):
+        if (day - prev).days != 1:
+            raise ValueError("%s: date columns must be consecutive days; gap between %s and %s"
+                             % (path, prev, day))
     return dates
 
 
@@ -337,7 +312,7 @@ def difference(series: DailySeries) -> DailySeries:
         raise ValueError("no daily kind defined for %r" % series.kind)
     if len(series) < 2:
         raise ValueError("need at least two points to difference")
-    return DailySeries(series.start_date + _ONE_DAY,
+    return DailySeries(series.start_date + dt.timedelta(days=1),
                        _diff(series.values), _DAILY_KIND_FOR[series.kind])
 
 

@@ -7,6 +7,7 @@ same formula evaluated twice.
 """
 
 import csv
+import datetime as dt
 import math
 
 import numpy as np
@@ -163,11 +164,54 @@ def random_rate_sets(rng, count):
     return list(zip(alpha, beta, i0, period))
 
 
+def parse_mdy(token, path, column):
+    """A CSSE date header cell by splitting at its slashes: month and day of
+    one or two ASCII digits and a year of two (2000-2099) or four (1000 on),
+    with blanks around the whole cell only."""
+    parts = token.strip().split("/")
+    if (len(parts) == 3 and all(p.isascii() and p.isdigit() for p in parts)
+            and len(parts[0]) <= 2 and len(parts[1]) <= 2
+            and (len(parts[2]) == 2 or len(parts[2]) == 4 and parts[2][0] != "0")):
+        month, day, year = map(int, parts)
+        try:
+            return dt.date(year + 2000 if len(parts[2]) == 2 else year, month, day)
+        except ValueError:
+            pass
+    raise ValueError("%s: bad date column %d: %r (expected m/d/yy)" % (path, column, token))
+
+
+def every_column(tokens, path):
+    """Header dates by decoding every column first, then checking that the
+    days are consecutive."""
+    dates = [parse_mdy(tok, path, i + 5) for i, tok in enumerate(tokens)]
+    for prev, cur in zip(dates, dates[1:]):
+        if (cur - prev).days != 1:
+            raise ValueError("%s: date columns must be consecutive days; gap between "
+                             "%s and %s" % (path, prev, cur))
+    return dates
+
+
+def parse_counts(cells, path, lineno, dates):
+    """One row's counts, a cell at a time: every cell is converted (a blank
+    one to 0) before any is checked for being finite."""
+    values = []
+    for cell in cells:
+        try:
+            values.append(float(cell) if cell.strip() else 0.0)
+        except ValueError as exc:
+            raise ValueError("%s: line %d: %s" % (path, lineno, exc)) from None
+    for cell, value, day in zip(cells, values, dates):
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError("%s: line %d has the non-finite value %r on %s"
+                             % (path, lineno, cell.strip(), day))
+    return values
+
+
 def parse_jhu_rows(path, country, kind="confirmed_cumulative", province=None):
     """series.parse_jhu_timeseries by reading every row of the file with
     csv.reader before any check, each row's errors naming the physical line
     its record starts on."""
-    from lockcycle.series import DailySeries, _parse_counts, _parse_header_dates
+    from lockcycle.series import DailySeries
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -191,7 +235,7 @@ def parse_jhu_rows(path, country, kind="confirmed_cumulative", province=None):
                          % (path, header[:4]))
     if len(header) == 4:
         raise ValueError("%s: no date columns" % path)
-    dates = _parse_header_dates(header[4:], str(path))
+    dates = every_column(header[4:], str(path))
     total = [0.0] * len(dates)
     matched = 0
     seen = set()
@@ -201,7 +245,7 @@ def parse_jhu_rows(path, country, kind="confirmed_cumulative", province=None):
                              % (path, lineno, len(row), len(header)))
         seen.add(row[1])
         if row[1] == country and (province is None or row[0] == province):
-            total = [t + v for t, v in zip(total, _parse_counts(row[4:], path, lineno, dates))]
+            total = [t + v for t, v in zip(total, parse_counts(row[4:], path, lineno, dates))]
             matched += 1
     if matched == 0:
         raise ValueError("country %r%s not found in %s; available countries: %s"

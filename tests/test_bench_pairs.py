@@ -168,3 +168,56 @@ def test_sigterm_kills_the_run_and_removes_the_export(tmp_path):
     assert not os.path.exists("/proc/%d" % run)
     # a set-up interpreter ends once it finds the run's pipe closed
     assert wait_for(lambda: not processes_naming(str(tmp_path)), 10.0)
+
+
+def children(pid):
+    """The pids of the live processes whose parent is pid."""
+    found = []
+    for child in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open("/proc/%s/stat" % child) as fh:
+                stat = fh.read()
+        except OSError:  # ended meanwhile
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(child))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes through /proc")
+def test_a_stopped_run_removes_its_workdir():
+    # a run of this checkout's benchmark, stopped by SIGTERM to the tool
+    # that started it; the tool itself starts with SIGINT ignored, as a job
+    # that a script puts in the background does, and the run must still
+    # take the SIGINT it is stopped with
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+    scratch = os.path.join(root, "perfbench", "_scratch")
+    workdirs = lambda: {name for name in (os.listdir(scratch) if os.path.isdir(scratch) else ())
+                        if name.startswith("fit_batch-")}
+    before = workdirs()
+    new_workdirs = lambda: workdirs() - before
+    code = ("import argparse, importlib.util, signal\n"
+            "spec = importlib.util.spec_from_file_location('bench_pairs', %r)\n"
+            "tool = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tool)\n"
+            "signal.signal(signal.SIGTERM, tool._stop)\n"
+            "args = argparse.Namespace(workload='fit_batch', seed=7, trace=0)\n"
+            "tool.run_once(%r, args, 4 * tool.STOP_WAIT)\n" % (TOOL, root))
+    tool = subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.DEVNULL,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    run = None
+    try:
+        assert wait_for(lambda: children(tool.pid) and new_workdirs())
+        (run,) = children(tool.pid)
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=90) == 128 + signal.SIGTERM
+        assert not os.path.exists("/proc/%d" % run)
+        # a set-up interpreter of the run removes its own workdir once it
+        # finds the run's pipe closed
+        assert wait_for(lambda: not new_workdirs(), 10.0), new_workdirs()
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+        if run is not None and os.path.exists("/proc/%d" % run):
+            os.kill(run, signal.SIGKILL)

@@ -196,6 +196,8 @@ def test_auc_numeric_of_samples_is_the_trapezoid_rule():
         auc_numeric((times, values[:3]))
     with pytest.raises(ValueError, match="matching one-dimensional arrays"):
         auc_numeric((times[None, :], values[None, :]))
+    with pytest.raises(ValueError, match="matching one-dimensional arrays"):
+        auc_numeric(([[0.0, 1.0]], [[1.0, 3.0]]))
     with pytest.raises(ValueError, match="at least two samples"):
         auc_numeric((times[:1], values[:1]))
 

@@ -4,7 +4,7 @@ The package loads only its numpy-free core and costs modules and exports
 their names.  series, validation and cfr are lazy modules, so schedule,
 compare-costs and simulate run none of them, ingest and fit-cfr leave
 validation unrun, and every command but fit-cfr and validate runs without
-numpy.  No command loads
+numpy, as does costs on plain samples.  No command loads
 dataclasses or inspect, and nothing heavier than numpy is ever imported.
 """
 
@@ -68,6 +68,15 @@ def test_ingest_to_a_file_never_loads_numpy(tmp_path):
              "    assert main(%r) == 0" % ["ingest", "--out", str(tmp_path / "x.csv")])
     assert loaded(("numpy",), setup) == []
     assert (tmp_path / "x.csv").read_text().startswith("date,kind,value\n")
+
+
+def test_costs_of_plain_samples_never_load_numpy():
+    setup = ("from lockcycle.costs import auc_numeric, new_cases_over_window\n"
+             "for make in (list, tuple):\n"
+             "    samples = make([0.0, 1.0, 2.0]), make([5.0, 7.0, 6.0])\n"
+             "    assert auc_numeric(samples) == 12.5\n"
+             "    new_cases_over_window(samples, 0.1)")
+    assert loaded(("numpy",), setup) == []
 
 
 @pytest.mark.parametrize("command", ["fit-cfr", "validate"])

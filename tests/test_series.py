@@ -16,7 +16,6 @@ from lockcycle import series
 from lockcycle.series import (
     DailySeries,
     _parse_header_dates,
-    _parse_mdy,
     active_cases,
     difference,
     ingest_report,
@@ -228,15 +227,34 @@ class TestWideFormatParsing:
             except ValueError as exc:
                 return str(exc)
 
-        def every_column(tokens, path):
-            dates = [_parse_mdy(tok, path, i + 5) for i, tok in enumerate(tokens)]
-            for prev, cur in zip(dates, dates[1:]):
-                if (cur - prev).days != 1:
-                    raise ValueError("%s: date columns must be consecutive days; gap between "
-                                     "%s and %s" % (path, prev, cur))
-            return dates
+        assert outcome(_parse_header_dates) == outcome(oracles.every_column)
 
-        assert outcome(_parse_header_dates) == outcome(every_column)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_header_dates_as_the_oracle_decodes_them(self, data):
+        # runs of days in several spellings, some cells replaced by near misses
+        start = data.draw(st.dates(D(1999, 12, 25), D(2100, 1, 5)))
+        forms = st.sampled_from(["%d/%d/%02d", "%02d/%02d/%02d", "%d/%d/%04d", " %d/%d/%02d\t"])
+        odd = st.sampled_from(["1/22/-5", " 1/ 22/ +20", "1/22/020", "1/22/0020", "1/22/0999",
+                               "1/22/1000", "1/22/\uff12\uff10", "0/1/20", "2/30/20", "1/1",
+                               "1/1/1/20", "/1/20", "123/1/20", "1/22/20x", "\xa01/22/20",
+                               "1/22/20 1", ""])
+        tokens = []
+        for i in range(data.draw(st.integers(1, 5))):
+            day = start + dt.timedelta(days=i)
+            if data.draw(st.integers(0, 5)) == 0:
+                tokens.append(data.draw(odd))
+            else:
+                form = data.draw(forms)
+                year = day.year if "%04d" in form else day.year % 100
+                tokens.append(form % (day.month, day.day, year))
+        outcomes = []
+        for parse in (_parse_header_dates, oracles.every_column):
+            try:
+                outcomes.append(parse(tokens, "f.csv"))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_rejects_file_without_date_columns(self, tmp_path):
         p = wide_file(tmp_path, WIDE_HEADER + "\n,X,0,0\n")

@@ -22,8 +22,10 @@ nine pairs in ten won and the medians apart by more than that spread.  The file 
 runs of the same two source trees keeps them and gains the new set, so one
 file carries several workloads and seeds.
 
-Stopped by SIGTERM or Ctrl-C, the tool kills the running benchmark, waits
-for it and removes the exported parent tree; SIGTERM makes it exit 143.
+Stopped by SIGTERM or Ctrl-C, the tool sends the running benchmark SIGINT,
+on which perfbench/run.py removes its workdir, kills it only if it has not
+ended within STOP_WAIT seconds, and removes the exported parent tree;
+SIGTERM makes it exit 143.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STOP_WAIT = 30.0
 
 
 def _git(*args):
@@ -84,14 +87,33 @@ def parse_run(stdout):
             "result": json.loads(lines[-1])}
 
 
+def _heed_sigint():
+    # Python turns SIGINT into KeyboardInterrupt only if it did not start
+    # with SIGINT ignored, as a job that a script puts in the background does
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def run_once(root, args, seconds):
     cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    # the run has a session of its own, so a Ctrl-C at the terminal reaches
+    # only this tool, which passes one SIGINT on
+    with subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True, preexec_fn=_heed_sigint) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(STOP_WAIT)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            raise
     if proc.returncode != 0:
-        raise RuntimeError("%s exited %d:\n%s" % (" ".join(cmd), proc.returncode, proc.stderr))
-    return parse_run(proc.stdout)
+        raise RuntimeError("%s exited %d:\n%s" % (" ".join(cmd), proc.returncode, stderr))
+    return parse_run(stdout)
 
 
 def _spread(values):
@@ -158,8 +180,8 @@ def _parse(argv):
 
 
 def _stop(signum, frame):
-    # subprocess.run kills and waits for its child on any exception, and
-    # main's finally removes the export
+    # run_once stops the running benchmark on any exception, and main's
+    # finally removes the export
     raise SystemExit(128 + signum)
 
 
