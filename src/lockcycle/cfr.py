@@ -117,12 +117,13 @@ def _one_pole(x, pole, delay: int = 0) -> np.ndarray:
     """s(t) = a*s(t-1) + x(t-delay) along the last axis of x, from zero state.
 
     pole is _pole(a, t) for the t days of x, and delay is at most t; x is
-    zero before its first day, so the first delay days of s are zero.  a is a decay or an array of
-    decays broadcasting against the leading axes of x; the result has their
-    broadcast shape plus the time axis.  Within a block of _BLOCK days the
-    recursion is one matrix product with the lower-triangular powers of a.
-    The states at the block ends follow the same recursion over blocks with
-    decay a**_BLOCK, and each decays into the next block as a**(i+1).
+    zero before its first day, so the first delay days of s are zero.  a is
+    a decay or an array of decays broadcasting against the leading axes of
+    x; the result has their broadcast shape plus the time axis.  Within a
+    block of _BLOCK days the recursion is one matrix product with the
+    lower-triangular powers of a.  The states at the block ends follow the
+    same recursion over blocks with decay a**_BLOCK, and each decays into
+    the next block as a**(i+1).
     """
     x = np.asarray(x, dtype=float)
     t = x.shape[-1]

@@ -345,21 +345,7 @@ def cmd_validate(args) -> int:
     if args.cfr is not None:
         validation.check_cfr(args.cfr, "--cfr")  # so the message names the flag
     data_dir = _data_dir(args)
-    report, checks = validation.validate(data_dir, args.cfr)
-    cfr_source = "fitted" if args.cfr is None else "flag"
-    payload = {
-        "oc_window": [d.isoformat() for d in report.oc_window],
-        "co_window": [d.isoformat() for d in report.co_window],
-        "oc_cases": report.oc_cases,
-        "co_cases": report.co_cases,
-        "cfr_used": report.cfr_used,
-        "cfr_source": cfr_source,
-        "oc_deaths_est": report.oc_deaths_est,
-        "co_deaths_est": report.co_deaths_est,
-        "death_ratio": report.death_ratio,
-        "predicted_ratio_from_model": report.predicted_ratio_from_model,
-        "checks": checks,
-    }
+    payload = validation.validate(data_dir, args.cfr)
     human = ("two-cycle validation on {data_dir}\n"
              "  open-first window   {oc_window[0]}..{oc_window[1]}  {oc_cases:.3g} cases\n"
              "  close-first window  {co_window[0]}..{co_window[1]}  {co_cases:.3g} cases\n"
@@ -372,9 +358,9 @@ def cmd_validate(args) -> int:
                      .format("ok" if c["ok"] else "FAIL", **c) for c in payload["checks"])
     rows = [(k, "%s..%s" % tuple(v) if isinstance(v, list) else v)
             for k, v in payload.items() if k != "checks"]
-    rows += [("check:%s" % c["name"], "PASS" if c["ok"] else "FAIL") for c in checks]
+    rows += [("check:%s" % c["name"], "PASS" if c["ok"] else "FAIL") for c in payload["checks"]]
     _render(args, human, payload, rows=rows)
-    return EXIT_OK if all(c["ok"] for c in checks) else EXIT_TOLERANCE
+    return EXIT_OK if all(c["ok"] for c in payload["checks"]) else EXIT_TOLERANCE
 
 
 # --- parser and entry point --------------------------------------------------

@@ -239,9 +239,9 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
     methods, and only a row of the requested country is split in full.
     Every other line, and a record spanning lines, goes through csv.  The
     header's dates are decoded once per distinct header, so CSSE's three
-    files, which share one, decode it once.  A fault names the file and the physical line that
-    an editor shows; a csv or UTF-8 fault anywhere in the file comes before
-    any other, as when the whole file was read first.
+    files, which share one, decode it once.  A fault names the file and the
+    physical line that an editor shows; a csv or UTF-8 fault anywhere in the
+    file comes before any other, as when the whole file was read first.
 
     Args:
         path: csv file in the CSSE global time-series layout.

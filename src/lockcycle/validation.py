@@ -4,9 +4,10 @@ Israel ran two back-to-back 54-day cycles in late 2020, open-first then
 close-first.  validate() reads each cycle's case total off the cumulative
 confirmed curve at the cycle boundaries, turns the totals into death
 estimates with one case fatality rate (fitted to the snapshot, or given),
-and checks them, the active-case anchors and the model's peak-over-baseline
-ratio against the documented figures.  It first runs verify_checksums(),
-which confirms that a snapshot directory still matches its MANIFEST.json.
+checks them, the active-case anchors and the model's peak-over-baseline
+ratio against the documented figures, and returns it all as one document.
+It first runs verify_checksums(), which confirms that a snapshot directory
+still matches its MANIFEST.json.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import os
 
 from . import cfr as cfr_fit
 from . import series as ser
-from .core import _Record
 
 __all__ = ["OC_START", "CYCLE_SPLIT", "PERIOD_END", "ANCHORS", "TOLERANCES",
-           "ValidationReport", "verify_checksums", "check_cfr", "validate"]
+           "verify_checksums", "check_cfr", "validate"]
 
 # The two cycles as boundary dates: open-first [OC_START, CYCLE_SPLIT),
 # close-first [CYCLE_SPLIT, PERIOD_END).
@@ -46,35 +46,6 @@ TOLERANCES = (
     ("death_ratio", 3.7, 0.2, "abs"),
     ("predicted_ratio_from_model", 3.6, 0.2, "abs"),
 )
-
-
-class ValidationReport(_Record):
-    """Outcome of the two-cycle validation on a snapshot.
-
-    Windows are half-open [start, end) boundary pairs; case totals are the
-    cumulative confirmed differences across those boundaries.  The death
-    estimates and their ratio are derived from the case totals and the case
-    fatality rate.
-    """
-
-    oc_window: tuple
-    co_window: tuple
-    oc_cases: float
-    co_cases: float
-    cfr_used: float
-    predicted_ratio_from_model: float
-
-    @property
-    def oc_deaths_est(self) -> float:
-        return self.oc_cases * self.cfr_used
-
-    @property
-    def co_deaths_est(self) -> float:
-        return self.co_cases * self.cfr_used
-
-    @property
-    def death_ratio(self) -> float:
-        return self.oc_cases / self.co_cases
 
 
 def verify_checksums(data_dir):
@@ -130,10 +101,13 @@ def validate(data_dir, cfr=None):
     verify_checksums must find no problem, or ValueError is raised with one
     "snapshot rejected:" line per problem.  Both run before any file is read.
 
-    Returns (report, checks).  Each check is a dict with name, value, low,
-    high and ok: first the exact active-case ANCHORS, then the TOLERANCES
-    bands on the report's fields.
+    Returns the validate --format json document, a dict whose windows are
+    half-open [start, end) ISO date pairs and whose cfr_source is "fitted",
+    or "flag" when cfr was given.  Its last key, checks, holds dicts with
+    name, value, low, high and ok: first the exact active-case ANCHORS, then
+    the TOLERANCES bands on the document's fields.
     """
+    cfr_source = "fitted" if cfr is None else "flag"
     if cfr is not None:
         check_cfr(cfr)
     problems = verify_checksums(data_dir)
@@ -147,25 +121,29 @@ def validate(data_dir, cfr=None):
         new_cases = ser.window(ser.difference(confirmed), ser.FIT_FROM, ser.FIT_TO)
         daily_deaths = ser.window(ser.difference(deaths), ser.FIT_FROM, ser.FIT_TO)
         cfr = cfr_fit.fit(new_cases, daily_deaths).cfr
+    cfr = float(cfr)  # a plain float, so arithmetic and json stay numpy-free
     two_cycles = ser.window(active, OC_START, PERIOD_END)
-    report = ValidationReport(
-        oc_window=(OC_START, CYCLE_SPLIT),
-        co_window=(CYCLE_SPLIT, PERIOD_END),
-        oc_cases=oc_cases,
-        co_cases=co_cases,
-        # plain floats so downstream arithmetic and json stay numpy-free
-        cfr_used=float(cfr),
-        predicted_ratio_from_model=max(two_cycles.values) / two_cycles.value_on(OC_START),
-    )
+    doc = {
+        "oc_window": [OC_START.isoformat(), CYCLE_SPLIT.isoformat()],
+        "co_window": [CYCLE_SPLIT.isoformat(), PERIOD_END.isoformat()],
+        "oc_cases": oc_cases,
+        "co_cases": co_cases,
+        "cfr_used": cfr,
+        "cfr_source": cfr_source,
+        "oc_deaths_est": oc_cases * cfr,
+        "co_deaths_est": co_cases * cfr,
+        "death_ratio": oc_cases / co_cases,
+        "predicted_ratio_from_model": max(two_cycles.values) / two_cycles.value_on(OC_START),
+    }
 
-    checks = []
+    doc["checks"] = checks = []
     for day, expected in ANCHORS:
         got = active.value_on(day)
         checks.append({"name": "active_%s" % day.isoformat(), "value": got,
                        "low": expected, "high": expected, "ok": got == expected})
     for name, center, tol, kind in TOLERANCES:
         width = center * tol if kind == "rel" else tol
-        got = getattr(report, name)
+        got = doc[name]
         checks.append({"name": name, "value": got, "low": center - width,
                        "high": center + width, "ok": center - width <= got <= center + width})
-    return report, checks
+    return doc

@@ -11,7 +11,7 @@ import pytest
 
 import lockcycle.series as ser
 from lockcycle.series import read_long_csv, read_long_json
-from lockcycle.validation import ValidationReport
+from lockcycle.validation import validate
 from lockcycle.cli import _render, main
 
 
@@ -286,20 +286,17 @@ class TestValidate:
         assert err.startswith("error: snapshot rejected: ")
         assert "snapshot rejected: %s" % problem in err
 
-    def test_report_enforces_exact_arithmetic(self):
-        import datetime as dt
-        report = ValidationReport(oc_window=(dt.date(2020, 8, 30), dt.date(2020, 10, 23)),
-                                  co_window=(dt.date(2020, 10, 23), dt.date(2020, 12, 16)),
-                                  oc_cases=188351.0, co_cases=51637.0, cfr_used=0.0085,
-                                  predicted_ratio_from_model=3.5)
-        assert report.oc_deaths_est == 188351.0 * 0.0085
-        assert report.co_deaths_est == 51637.0 * 0.0085
-        assert report.death_ratio == 188351.0 / 51637.0
-        # derived figures are not constructor fields, so they cannot disagree
-        with pytest.raises(TypeError):
-            ValidationReport(oc_window=report.oc_window, co_window=report.co_window,
-                             oc_cases=1.0, co_cases=1.0, cfr_used=0.01,
-                             predicted_ratio_from_model=3.5, death_ratio=1.0)
+    @pytest.mark.parametrize("cfr", [None, 0.0085])
+    def test_validate_returns_the_json_document(self, capsys, data_dir, cfr):
+        doc = validate(data_dir, cfr)
+        argv = ["validate", "--format", "json"] + ([] if cfr is None else ["--cfr", str(cfr)])
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert json.dumps(doc, indent=2, allow_nan=False) + "\n" == out
+        # the estimates and their ratio are the exact products and quotient
+        assert doc["oc_deaths_est"] == doc["oc_cases"] * doc["cfr_used"]
+        assert doc["co_deaths_est"] == doc["co_cases"] * doc["cfr_used"]
+        assert doc["death_ratio"] == doc["oc_cases"] / doc["co_cases"]
 
 
 class TestPinnedOutput:

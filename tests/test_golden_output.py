@@ -6,7 +6,8 @@ of schedule, simulate, compare-costs and ingest, which need no numpy.  The
 full-precision fit-cfr and validate documents are left out: their low bits
 follow the BLAS build of numpy's matrix products, so the same code can print
 other bytes on another machine.  Their human summaries show three
-significant figures and are pinned.
+significant figures and are pinned.  validate --cfr skips the fit, so no
+BLAS bits reach its output, and all three of its documents are pinned.
 
 The bundled data directory is an absolute path and appears in the ingest and
 validate summaries; it is replaced by {data_dir} before hashing.
@@ -43,6 +44,11 @@ GOLDEN = {
     "ingest --format json": "5faca6cbbc8537934593b5d42146234cd4ac2e3eede1dbb636adb76aa68b06cc",
     "ingest --format csv": "fc7e7170c0a9b7e051af72854d87c2d301c3f4705b33aac62b4e13536f5603a6",
     "validate": "2df9442fc026a44d54ee651f8555f9e701aec9643781bfb729b9dae8c279d7aa",
+    "validate --cfr 0.0085": "1ede6a2bc898a82dc06a83ac38688cbfb5809b4d59c9c637669ebda4b8cd425f",
+    "validate --cfr 0.0085 --format json":
+        "986ba978f83168d7924e71cf197200a3ebc994378ebee753dcaaa89ac8365bc7",
+    "validate --cfr 0.0085 --format csv":
+        "bba4020378069f20f0330e2c9561d35445313eb6cd0d53dc3800b356a3fe02c8",
 }
 
 

@@ -87,7 +87,7 @@ def test_validate_verifies_the_snapshot_before_reading_it(data_dir, tmp_path):
         ["snapshot rejected", " checksum mismatch for %s" % FILES["deaths"]],
         ["snapshot rejected", " missing data file %s" % FILES["recovered"]],
     ]
-    assert validate(data_dir, 0.0085)[0].oc_cases == 188351.0
+    assert validate(data_dir, 0.0085)["oc_cases"] == 188351.0
 
 
 def test_active_case_anchor_points(israel):

@@ -382,6 +382,15 @@ ODD_CELLS = ['"A, B"', '"say ""hi"""', '"two\nlines"', '"cr\rcell"', '"open', '"
              "7" * (csv.field_size_limit() + 1)]
 NAMES = ["X", "Y", '"X"', '"Korea, South"', '"Y ""Z"""']
 PROVINCES = ["", "P", '"P"', '"P, Q"']
+# numbers that float() reads but the parse rejects as not finite
+NONFINITE_CELLS = ["nan", "inf", "-Infinity", "1e400"]
+
+
+def csv_cell(draw, value):
+    # value as a cell, bare where csv allows it and the draw says so
+    if "," in value or '"' in value or draw(st.booleans()):
+        return '"%s"' % value.replace('"', '""')
+    return value
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -390,9 +399,12 @@ def test_scan_gives_what_csv_gives_reading_every_row(tmp_path_factory, data):
     draw = data.draw
     header = WIDE_HEADER + draw(st.sampled_from([",1/22/20,1/23/20,1/24/20"] * 4
                                                 + [',1/22/20,"1/23/20",1/24/20', ""]))
+    country = draw(st.sampled_from(["X", "Y", "Korea, South", 'Y "Z"', "A, B", "W"]))
+    province = draw(st.sampled_from([None, "P", "P, Q", ""]))
     lines = [header]
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["clean"] * 8 + ["ragged", "odd", "blank", "long"]))
+        kind = draw(st.sampled_from(["clean"] * 8 + ["ragged", "odd", "blank", "long"]
+                                    + ["nonfinite"] * 2))
         if kind == "blank":
             lines.append("")
             continue
@@ -401,6 +413,11 @@ def test_scan_gives_what_csv_gives_reading_every_row(tmp_path_factory, data):
         cells += [str(draw(st.integers(0, 9))) for _ in range(width)]
         if kind == "odd":
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        if kind == "nonfinite":  # a row of the requested country, so it is summed
+            cells[1] = csv_cell(draw, country)
+            if province is not None:
+                cells[0] = csv_cell(draw, province)
+            cells[draw(st.integers(4, len(cells) - 1))] = draw(st.sampled_from(NONFINITE_CELLS))
         if kind == "long":  # a line past csv's field limit, though no cell is
             cells[2] = cells[3] = "0" * (csv.field_size_limit() // 2 + 1)
         lines.append(",".join(cells))
@@ -411,8 +428,7 @@ def test_scan_gives_what_csv_gives_reading_every_row(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "scan.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    args = (path, draw(st.sampled_from(["X", "Y", "Korea, South", 'Y "Z"', "A, B", "W"])),
-            "deaths_cumulative", draw(st.sampled_from([None, "P", "P, Q", ""])))
+    args = (path, country, "deaths_cumulative", province)
     assert outcome(parse_jhu_timeseries, *args) == outcome(oracles.parse_jhu_rows, *args)
 
 

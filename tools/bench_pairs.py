@@ -18,9 +18,10 @@ per metric: each side's median and quartiles, the pairs the change won (ties
 count for neither), whether the medians differ, in the metric's better
 direction from BENCHMARK.json, by more than the parent's interquartile
 spread, and whether both hold strongly enough to claim a gain: at least
-nine pairs in ten won and the medians apart by more than that spread.  The file is rewritten after every pair.  A file that already holds
-runs of the same two source trees keeps them and gains the new set, so one
-file carries several workloads and seeds.
+nine pairs in ten won and the medians apart by more than that spread.  The
+file is rewritten after every pair.  A file that already holds runs of the
+same two source trees keeps them and gains the new set, so one file carries
+several workloads and seeds.
 
 Stopped by SIGTERM or Ctrl-C, the tool sends the running benchmark SIGINT,
 on which perfbench/run.py removes its workdir, kills it only if it has not
