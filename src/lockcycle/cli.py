@@ -66,24 +66,28 @@ def load_config(path, parser):
             for name in (action.dest, *(o.lstrip("-") for o in action.option_strings)):
                 keys[name.replace("-", "_")] = action
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError("%s:%d: expected key=value, got %r" % (path, lineno, line))
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in keys:
-                raise ValueError("%s:%d: unknown config key %r" % (path, lineno, key))
-            action = keys[key]
-            try:  # argparse's own conversion and choices check, as for a flag
-                value = parser._get_value(action, value.strip())
-                parser._check_value(action, value)
-            except argparse.ArgumentError as exc:
-                raise ValueError("%s:%d: %s: %s" % (path, lineno, key, exc.message))
-            out[action.dest] = value
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError("%s:%d: expected key=value, got %r" % (path, lineno, line))
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ValueError("%s:%d: unknown config key %r" % (path, lineno, key))
+        action = keys[key]
+        try:  # argparse's own conversion and choices check, as for a flag
+            value = parser._get_value(action, value.strip())
+            parser._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            raise ValueError("%s:%d: %s: %s" % (path, lineno, key, exc.message))
+        out[action.dest] = value
     return out
 
 

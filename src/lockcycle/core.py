@@ -73,35 +73,21 @@ class _Record:
     """Base of the library's frozen records.
 
     A subclass declares its fields as annotations, in constructor order; a
-    field given a value in the class body defaults to it.  The constructor
-    takes the fields by position or keyword, raises TypeError for a missing
-    or unknown one, then calls __post_init__, which may replace a field with
-    object.__setattr__.  Assignment raises AttributeError, and records
+    field given a value in the class body defaults to it.  A generated __init__
+    stores the fields in order and calls __post_init__, which may replace one
+    with object.__setattr__.  Assignment raises AttributeError; records
     compare, hash and repr by their fields, as Name(field=value, ...).
     """
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-
-    def __init__(self, *args, **kwargs):
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError("%s() takes %d arguments, %d were given" % (name, len(fields), len(args)))
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError("%s() got an unexpected keyword argument %r" % (name, key))
-            if key in values:
-                raise TypeError("%s() got multiple values for argument %r" % (name, key))
-            values[key] = value
-        for key in fields:
-            if key not in values:
-                if key not in self._defaults:
-                    raise TypeError("%s() missing argument %r" % (name, key))
-                values[key] = self._defaults[key]
-        self.__dict__.update(values)
-        self.__post_init__()
+        fields = cls.__annotations__
+        params = ", ".join(f + "=defaults[%r]" % f if f in vars(cls) else f for f in fields)
+        stores = ", ".join("%s=%s" % (f, f) for f in fields)
+        namespace = {"defaults": vars(cls)}
+        exec("def __init__(self, %s):\n self.__dict__.update(%s)\n self.__post_init__()"
+             % (params, stores), namespace)
+        cls.__init__ = init = namespace["__init__"]
+        init.__qualname__, init.__module__ = cls.__qualname__ + ".__init__", cls.__module__
 
     def __post_init__(self):
         pass
@@ -112,20 +98,17 @@ class _Record:
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
 
-    def _values(self):
-        return tuple(self.__dict__[f] for f in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return vars(self) == vars(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(vars(self).values()))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (f, self.__dict__[f]) for f in self._fields))
+            "%s=%r" % item for item in vars(self).items()))
 
 
 class StrategyParams(_Record):

@@ -484,6 +484,17 @@ class TestConfigFiles:
         assert rc == 2
         assert "error:" in err
 
+    def test_config_bytes_decode_as_csse_files_do(self, capsys, tmp_path):
+        # a byte-order mark is skipped, and a byte that is not UTF-8 names the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfperiod=54\n")
+        rc, doc = run_json(capsys, "--config", str(cfg), "schedule")
+        assert (rc, doc["period"]) == (0, 54.0)
+        cfg.write_bytes(b"period=\xff54\n")
+        rc, out, err = run(capsys, "--config", str(cfg), "schedule")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: %s: 'utf-8' codec can't decode byte 0xff" % cfg)
+
     def test_line_without_equals_is_an_error(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "alpha\n")
         rc, out, err = run(capsys, "--config", cfg, "schedule")

@@ -1,3 +1,5 @@
+import datetime
+import inspect
 import math
 
 import numpy as np
@@ -116,6 +118,7 @@ def test_params_are_frozen(baseline):
 
 def test_records_construct_compare_and_repr_by_their_fields():
     from lockcycle.cfr import CfrModel
+    from lockcycle.series import DailySeries
 
     phase = Phase(1.5, duration=10.0)
     assert phase == Phase(rt=1.5, duration=10.0) != Phase(1.5, 11.0)
@@ -126,10 +129,20 @@ def test_records_construct_compare_and_repr_by_their_fields():
     assert PhaseSchedule([(1.5, 10.0)]).phases == (phase,)
     assert repr(CfrModel(3, 0.5, 0.01)) == ("CfrModel(delay_k=3, decay_a=0.5, scale_b=0.01, "
                                             "sse=None, cv_a=None, cv_b=None, fitted_deaths=None)")
-    for args, kwargs in [((1.5,), {}), ((1.5, 10.0, 1.0), {}),
-                         ((1.5,), {"rt": 1.5, "duration": 10.0}), ((1.5, 10.0), {"days": 1.0})]:
-        with pytest.raises(TypeError):
+    # __init__ is generated from the fields, so Python binds the arguments
+    assert str(inspect.signature(CfrModel)) == ("(delay_k, decay_a, scale_b, sse=None, cv_a=None, "
+                                                "cv_b=None, fitted_deaths=None)")
+    assert str(inspect.signature(Phase)) == "(rt, duration)"
+    for args, kwargs, match in [((1.5,), {}, "'duration'"), ((1.5, 10.0, 1.0), {}, None),
+                                ((1.5,), {"rt": 1.5, "duration": 10.0}, "'rt'"),
+                                ((1.5, 10.0), {"days": 1.0}, "'days'")]:
+        with pytest.raises(TypeError, match=match):
             Phase(*args, **kwargs)
+    # a field __post_init__ replaced compares and hashes by its stored value
+    day = datetime.date(2020, 3, 1)
+    converted = DailySeries(day, [1, 2], "new_cases")
+    assert converted == DailySeries(day, (1.0, 2.0), "new_cases")
+    assert hash(converted) == hash(DailySeries(day, (1.0, 2.0), "new_cases"))
     with pytest.raises(AttributeError):
         del phase.rt
 

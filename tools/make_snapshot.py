@@ -337,7 +337,8 @@ def main(out_dir=DATA_DIR):
         name = JHU_FILENAMES[kind]
         path = os.path.join(out_dir, name)
         write_csv(path, series_rows(which))
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         manifest["files"][name] = {"sha256": digest, "bytes": os.path.getsize(path)}
         print("wrote %s (%s)" % (name, digest[:12]))
     with open(os.path.join(out_dir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
