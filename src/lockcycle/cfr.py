@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .core import _Record
+from .core import _Record, _require_finite
 from .series import DailySeries, overlap
 
 __all__ = [
@@ -69,10 +69,13 @@ class CfrModel(_Record):
     fitted_deaths: DailySeries | None = None
 
     def __post_init__(self):
-        if self.delay_k < 0 or int(self.delay_k) != self.delay_k:
+        # each test is written so that NaN fails it
+        if not (self.delay_k >= 0 and self.delay_k % 1 == 0):
             raise ValueError("delay_k must be a non-negative integer")
         if not 0.0 <= self.decay_a < 1.0:
             raise ValueError("decay_a must lie in [0, 1) for the kernel mass to converge")
+        figures = {"scale_b": self.scale_b, "sse": self.sse, "cv_a": self.cv_a, "cv_b": self.cv_b}
+        _require_finite(**{name: v for name, v in figures.items() if v is not None})
         if self.scale_b < 0:
             raise ValueError("scale_b must be non-negative")
 
@@ -283,6 +286,7 @@ def _moving_average(values, window_days: int) -> np.ndarray:
     return np.convolve(values, np.ones(window_days), "valid") / window_days
 
 
+@np.errstate(all="ignore")  # an overflow shows as a figure CfrModel rejects
 def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
         smooth_window: int = 7) -> CfrModel:
     """Fit the delay kernel to observed daily cases and deaths.
@@ -341,8 +345,9 @@ def fit(new_cases: DailySeries, deaths: DailySeries, k_range=(0, 15),
     pole = _pole(a, len(n))
     s = _one_pole(n, pole, k)
     cv_a, cv_b = _cvs(s, _one_pole(s, pole, 1), sse, a, b)
-    fitted = DailySeries(start, (b * s).tolist(), "daily_deaths")
-    return CfrModel(k, a, b, sse=sse, cv_a=cv_a, cv_b=cv_b, fitted_deaths=fitted)
+    figures = dict(delay_k=k, decay_a=a, scale_b=b, sse=sse, cv_a=cv_a, cv_b=cv_b)
+    CfrModel(**figures)  # names a figure that overflowed before the series built from it
+    return CfrModel(**figures, fitted_deaths=DailySeries(start, (b * s).tolist(), "daily_deaths"))
 
 
 def _cvs(s, ds_da, sse: float, a: float, b: float):

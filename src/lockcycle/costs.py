@@ -137,29 +137,22 @@ def auc_numeric(traj) -> float:
 
 
 def _endpoints(traj):
-    # (first value, last value, horizon length in days)
-    if isinstance(traj, Trajectory):
-        t_end, i_end = traj.phase_boundaries[-1]
-        return traj.phase_boundaries[0][1], i_end, t_end
-    times, values = traj
-    return float(values[0]), float(values[-1]), float(times[-1] - times[0])
+    # (first value, last value)
+    values = [v for _, v in traj.phase_boundaries] if isinstance(traj, Trajectory) else traj[1]
+    return float(values[0]), float(values[-1])
 
 
 def new_cases_over_window(traj, gamma: float, periodic: bool = False) -> float:
     """Total new cases implied by an active-case curve over its window.
 
-    With the balance equation dI/dt = -gamma*I + n(t), the new-case total
-    over a window equals gamma times the area under the zero-initial-condition
-    response a(t) = I(t) - I(0)*exp(-gamma*t), plus the terminal mass a(T).
-    When the window is one balanced period (I(T) = I(0)) this collapses to
-    gamma * AUC, which the periodic flag requests directly.
+    Integrating the balance equation dI/dt = -gamma*I + n(t) over the window
+    gives the new-case total gamma*AUC + I(T) - I(0).  When the window is one
+    balanced period (I(T) = I(0)) this collapses to gamma * AUC, which the
+    periodic flag requests directly.
     """
     _require_positive(gamma=gamma)
     auc = auc_numeric(traj)
     if periodic:
         return gamma * auc
-    i_start, i_end, horizon = _endpoints(traj)
-    decay = math.exp(-gamma * horizon)
-    a_end = i_end - i_start * decay
-    auc_a = auc - i_start * (-math.expm1(-gamma * horizon)) / gamma
-    return gamma * auc_a + a_end
+    i_start, i_end = _endpoints(traj)
+    return gamma * auc + i_end - i_start

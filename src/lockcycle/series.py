@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import itertools
 import json
@@ -69,8 +70,9 @@ JHU_FILENAMES = {
 class DailySeries(_Record):
     """A contiguous daily-sampled series starting at start_date.
 
-    kind is one of KINDS.  values, any one-dimensional sequence of numbers,
-    is stored as a tuple of floats in plain Python; pass an array's tolist().
+    kind is one of KINDS.  values, any one-dimensional sequence of finite
+    numbers, is stored as a tuple of floats in plain Python; pass an array's
+    tolist().
     """
 
     start_date: dt.date
@@ -80,7 +82,12 @@ class DailySeries(_Record):
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown series kind %r; expected one of %s" % (self.kind, ", ".join(KINDS)))
-        object.__setattr__(self, "values", _floats(self.values))
+        values = _floats(self.values)
+        if not all(map(math.isfinite, values)):
+            bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise ValueError("%s has the non-finite value %r on %s"
+                             % (self.kind, values[bad], self.start_date + dt.timedelta(days=bad)))
+        object.__setattr__(self, "values", values)
 
     def __len__(self):
         return len(self.values)
@@ -107,7 +114,7 @@ class DailySeries(_Record):
 _MDY = re.compile(r"\s*([0-9]{1,2})/([0-9]{1,2})/([0-9]{2}|[1-9][0-9]{3})\s*")
 
 
-def _parse_mdy(token: str, path: str, column: int) -> dt.date:
+def _parse_mdy(token: str, column: int) -> dt.date:
     match = _MDY.fullmatch(token)
     if match:
         y = int(match[3])
@@ -115,35 +122,38 @@ def _parse_mdy(token: str, path: str, column: int) -> dt.date:
             return dt.date(y + 2000 if y < 100 else y, int(match[1]), int(match[2]))
         except ValueError:  # no such day
             pass
-    raise ValueError("%s: bad date column %d: %r (expected m/d/yy)" % (path, column, token))
+    raise ValueError("bad date column %d: %r (expected m/d/yy)" % (column, token))
 
 
-def _parse_header_dates(tokens, path: str) -> list:
-    """The dates of the header's date columns (column 5 on), which must be
-    consecutive days; every bad column is reported before the first gap."""
-    dates = [_parse_mdy(token, path, column) for column, token in enumerate(tokens, start=5)]
+@functools.lru_cache(maxsize=1)  # CSSE's global files share one header
+def _parse_header_dates(header) -> tuple:
+    """The dates of a header's date columns (column 5 on), which must be
+    consecutive days; every bad column is reported before the first gap.
+    header is its line's text, or its cells as a tuple when csv read it."""
+    tokens = (header.split(",") if isinstance(header, str) else header)[4:]
+    dates = [_parse_mdy(token, column) for column, token in enumerate(tokens, start=5)]
     for prev, day in zip(dates, dates[1:]):
         if (day - prev).days != 1:
-            raise ValueError("%s: date columns must be consecutive days; gap between %s and %s"
-                             % (path, prev, day))
-    return dates
+            raise ValueError("date columns must be consecutive days; gap between %s and %s"
+                             % (prev, day))
+    return tuple(dates)
 
 
-def _parse_counts(cells, path: str, lineno: int, dates) -> list:
+def _parse_counts(cells, lineno: int, dates) -> list:
     """One row's counts as floats, a blank cell counting 0; a cell that is
     not a number, or not a finite one, is an error naming the line."""
     try:
         values = [float(x) if x.strip() else 0.0 for x in cells]
     except ValueError as exc:
-        raise ValueError("%s: line %d: %s" % (path, lineno, exc)) from None
+        raise ValueError("line %d: %s" % (lineno, exc)) from None
     if not all(map(math.isfinite, values)):
         bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
-        raise ValueError("%s: line %d has the non-finite value %r on %s"
-                         % (path, lineno, cells[bad].strip(), dates[bad]))
+        raise ValueError("line %d has the non-finite value %r on %s"
+                         % (lineno, cells[bad].strip(), dates[bad]))
     return values
 
 
-def _records(lines, path):
+def _records(lines):
     """Each record of a csv file as (its first line's number, cells, text).
 
     A record on one line that is not blank and has no quote or NUL and is
@@ -167,7 +177,7 @@ def _records(lines, path):
         try:
             cells = next(reader)
         except csv.Error as exc:
-            raise ValueError("%s: line %d: %s" % (path, lineno - 1 + reader.line_num, exc)) from None
+            raise ValueError("line %d: %s" % (lineno - 1 + reader.line_num, exc)) from None
         yield lineno, cells, None
         lineno += reader.line_num - 1
 
@@ -176,32 +186,19 @@ def _cells(cells, text, maxsplit=-1) -> list:
     return cells if text is None else text.split(",", maxsplit)
 
 
-# (header text, dates) of the last header decoded, as CSSE's global files
-# share one.  The text is the header's line, or its cells when csv read it.
-# A header that fails is decoded again each time, so its error names the
-# file at hand.
-_last_header = (None, ())
-
-
-def _header_dates(key, tokens, path: str) -> tuple:
-    global _last_header
-    if _last_header[0] != key:
-        _last_header = key, tuple(_parse_header_dates(tokens, path))
-    return _last_header[1]
-
-
-def _sum_rows(records, path, country, kind, province) -> DailySeries:
-    # parse_jhu_timeseries over the records of a file, raising at the first fault
+def _sum_rows(records, country, kind, province):
+    # parse_jhu_timeseries' series from the records of a file, or the sorted
+    # countries in it when no row matches, raising at the first fault
     first = next(records, None)
     if first is None:
-        raise ValueError("%s: empty file" % path)
+        raise ValueError("empty file")
     _, cells, text = first
     header = _cells(cells, text)
     if header[:4] != _JHU_HEADER:
-        raise ValueError("%s: unexpected header %r; not a CSSE wide-format file" % (path, header[:4]))
+        raise ValueError("unexpected header %r; not a CSSE wide-format file" % header[:4])
     if len(header) == 4:
-        raise ValueError("%s: no date columns" % path)
-    dates = _header_dates(text if cells is None else tuple(cells), header[4:], str(path))
+        raise ValueError("no date columns")
+    dates = _parse_header_dates(text if cells is None else tuple(cells))
 
     width = len(header)
     total = [0.0] * len(dates)
@@ -210,20 +207,15 @@ def _sum_rows(records, path, country, kind, province) -> DailySeries:
     for lineno, cells, text in records:
         n = len(cells) if text is None else text.count(",") + 1
         if n != width:
-            raise ValueError("%s: line %d has %d fields, expected %d" % (path, lineno, n, width))
+            raise ValueError("line %d has %d fields, expected %d" % (lineno, n, width))
         state, name = _cells(cells, text, 2)[:2]
         seen.add(name)
         if name != country or (province is not None and state != province):
             continue
-        values = _parse_counts(_cells(cells, text)[4:], path, lineno, dates)
+        values = _parse_counts(_cells(cells, text)[4:], lineno, dates)
         total = list(map(operator.add, total, values))
         matched += 1
-    if matched == 0:
-        raise ValueError("country %r%s not found in %s; available countries: %s"
-                         % (country,
-                            "" if province is None else " (province %r)" % province,
-                            path, ", ".join(sorted(seen))))
-    return DailySeries(dates[0], total, kind)
+    return DailySeries(dates[0], total, kind) if matched else sorted(seen)
 
 
 def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
@@ -255,16 +247,21 @@ def parse_jhu_timeseries(path, country: str, kind: str = "confirmed_cumulative",
     if kind not in CUMULATIVE_KINDS:
         raise ValueError("kind must be cumulative, got %r" % kind)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = _records(fh, path)
+        records = _records(fh)
         try:
             try:
-                return _sum_rows(records, path, country, kind, province)
+                found = _sum_rows(records, country, kind, province)
             except ValueError:
                 for _ in records:  # a later csv or UTF-8 fault wins
                     pass
                 raise
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError("%s: %s" % (path, exc)) from None
+    if isinstance(found, DailySeries):
+        return found
+    raise ValueError("country %r%s not found in %s; available countries: %s"
+                     % (country, "" if province is None else " (province %r)" % province,
+                        path, ", ".join(found)))
 
 
 def default_data_dir() -> str:

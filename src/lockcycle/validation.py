@@ -19,6 +19,7 @@ import os
 
 from . import cfr as cfr_fit
 from . import series as ser
+from .core import _require_finite
 
 __all__ = ["OC_START", "CYCLE_SPLIT", "PERIOD_END", "ANCHORS", "TOLERANCES",
            "verify_checksums", "check_cfr", "validate"]
@@ -60,7 +61,7 @@ def verify_checksums(data_dir):
     if not os.path.exists(manifest_path):
         return ["missing MANIFEST.json in %s" % data_dir]
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(manifest_path, encoding="utf-8-sig") as fh:
             manifest = json.load(fh)
     except (ValueError, OSError) as exc:
         return ["unreadable MANIFEST.json: %s" % exc]
@@ -135,6 +136,8 @@ def validate(data_dir, cfr=None):
         "death_ratio": oc_cases / co_cases,
         "predicted_ratio_from_model": max(two_cycles.values) / two_cycles.value_on(OC_START),
     }
+    # a case total read off finite counts can still leave the float range
+    _require_finite(**{k: v for k, v in doc.items() if isinstance(v, float)})
 
     doc["checks"] = checks = []
     for day, expected in ANCHORS:

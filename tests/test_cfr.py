@@ -83,6 +83,22 @@ def test_model_validation():
     assert m.cfr == pytest.approx(0.02, rel=1e-12)
 
 
+@pytest.mark.parametrize("args, figures, message", [
+    ((math.nan, 0.5, 0.01), {}, "delay_k must be a non-negative integer"),
+    ((math.inf, 0.5, 0.01), {}, "delay_k must be a non-negative integer"),
+    ((2, math.nan, 0.01), {}, "decay_a must lie in [0, 1)"),
+    ((2, 0.5, math.nan), {}, "scale_b must be a finite number, got nan"),
+    ((2, 0.5, math.inf), {}, "scale_b must be a finite number, got inf"),
+    ((2, 0.5, 0.01), {"sse": math.inf}, "sse must be a finite number, got inf"),
+    ((2, 0.5, 0.01), {"cv_a": math.nan}, "cv_a must be a finite number, got nan"),
+    ((2, 0.5, 0.01), {"cv_b": -math.inf}, "cv_b must be a finite number, got -inf"),
+])
+def test_model_rejects_nan_and_infinite_figures(args, figures, message):
+    with pytest.raises(ValueError) as exc:
+        CfrModel(*args, **figures)
+    assert str(exc.value).startswith(message)
+
+
 def test_kernel_weights_shape_and_mass():
     m = CfrModel(3, 0.9, 0.004)
     w = oracles.kernel_weights(m.delay_k, m.decay_a, m.scale_b, 200)

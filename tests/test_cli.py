@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import datetime as dt
+import hashlib
 import io
 import json
 import shutil
@@ -19,6 +21,28 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def edited_snapshot(data_dir, tmp_path, country, edit, files=("confirmed",)):
+    """A copy of the bundled snapshot in which each row of country in the
+    named files has its counts, from 1/22/20 on, replaced by edit(counts)."""
+    work = tmp_path / "data"
+    shutil.copytree(data_dir, work)
+    for name in files:
+        path = work / ("time_series_covid19_%s_global.csv" % name)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            if row[1] == country:
+                row[4:] = edit(row[4:])
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return work
+
+
+def day(iso):
+    # the index of a day among a snapshot row's counts
+    return (dt.date.fromisoformat(iso) - dt.date(2020, 1, 22)).days
 
 
 def run_json(capsys, *argv):
@@ -276,7 +300,9 @@ class TestValidate:
          "MANIFEST.json has no sha256 string for time_series_covid19_confirmed_global.csv"),
         (json.dumps({"files": {name: {"sha256": 5} for name in ser.JHU_FILENAMES.values()}}),
          "MANIFEST.json has no sha256 string for time_series_covid19_deaths_global.csv"),
-    ], ids=["array", "files-array", "files-empty", "no-sha256", "sha256-not-a-string"])
+        ("{", "unreadable MANIFEST.json: Expecting property name enclosed in double quotes"),
+    ], ids=["array", "files-array", "files-empty", "no-sha256", "sha256-not-a-string",
+            "not-json"])
     def test_malformed_manifest_is_rejected(self, capsys, data_dir, tmp_path, manifest, problem):
         work = tmp_path / "data"
         shutil.copytree(data_dir, work)
@@ -285,6 +311,30 @@ class TestValidate:
         assert (rc, out) == (2, "")
         assert err.startswith("error: snapshot rejected: ")
         assert "snapshot rejected: %s" % problem in err
+
+    def test_case_total_past_the_float_range_exits_two(self, capsys, data_dir, tmp_path):
+        def edit(counts):
+            counts[day("2020-08-30")], counts[day("2020-10-23")] = "-1.7e308", "1.7e308"
+            return counts
+
+        work = edited_snapshot(data_dir, tmp_path, "Israel", edit)
+        manifest = json.loads((work / "MANIFEST.json").read_text(encoding="utf-8"))
+        for name, entry in manifest["files"].items():
+            entry["sha256"] = hashlib.sha256((work / name).read_bytes()).hexdigest()
+        (work / "MANIFEST.json").write_text(json.dumps(manifest), encoding="utf-8")
+        for fmt in ([], ["--format", "json"], ["--format", "csv"]):
+            rc, out, err = run(capsys, "validate", "--data-dir", str(work), "--cfr", "0.0085", *fmt)
+            assert (rc, out, err) == (2, "", "error: oc_cases must be a finite number, got inf\n")
+
+    def test_manifest_after_a_byte_order_mark_is_read(self, capsys, data_dir, tmp_path):
+        work = tmp_path / "data"
+        shutil.copytree(data_dir, work)
+        manifest = work / "MANIFEST.json"
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        argv = ("validate", "--cfr", "0.0085", "--format", "json")
+        rc, out, err = run(capsys, *argv, "--data-dir", str(work))
+        assert (rc, err) == (0, "")
+        assert (rc, out, err) == run(capsys, *argv)
 
     @pytest.mark.parametrize("cfr", [None, 0.0085])
     def test_validate_returns_the_json_document(self, capsys, data_dir, cfr):
@@ -609,6 +659,48 @@ class TestBadArguments:
         assert out == ""
         assert str(target) in err
         assert "line %d has the non-finite value 'nan' on 2020-11-17" % lineno in err
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
+    @pytest.mark.parametrize("command", ["fit-cfr", "ingest"])
+    @pytest.mark.parametrize("country, cells, problem", [
+        # both cells are finite; their difference is not
+        ("Korea, South", {"2020-10-01": "1.7e308", "2020-10-02": "-1.7e308"},
+         "new_cases has the non-finite value -inf on 2020-10-02"),
+        # each province's cell is finite; their sum is not
+        ("Australia", {"2020-12-31": "1e308"},
+         "{file}: confirmed_cumulative has the non-finite value inf on 2020-12-31"),
+    ], ids=["difference", "sum"])
+    def test_series_past_the_float_range_exits_two(self, capsys, data_dir, tmp_path, command,
+                                                    fmt, country, cells, problem):
+        def edit(counts):
+            for iso, cell in cells.items():
+                counts[day(iso)] = cell
+            return counts
+
+        work = edited_snapshot(data_dir, tmp_path, country, edit)
+        rc, out, err = run(capsys, command, "--data-dir", str(work), "--country", country, *fmt)
+        assert (rc, out) == (2, "")
+        file = work / "time_series_covid19_confirmed_global.csv"
+        assert err == "error: %s\n" % problem.format(file=file)
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
+    def test_fit_past_the_float_range_exits_two(self, capsys, data_dir, tmp_path, fmt):
+        # every count is finite, but their squares are not; pytest turns a
+        # numpy warning into an error, so none is raised either
+        work = edited_snapshot(data_dir, tmp_path, "Israel",
+                               lambda counts: [repr(float(c) * 1e180) for c in counts],
+                               ("confirmed", "deaths", "recovered"))
+        rc, out, err = run(capsys, "fit-cfr", "--data-dir", str(work), *fmt)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: scale_b must be a finite number, got ")
+        assert err.count("\n") == 1
+        # the counts themselves are in range, so ingest reports them
+        rc, records = run_json(capsys, "ingest", "--data-dir", str(work))
+        assert rc == 0
+        confirmed, deaths, recovered, _, _, active = records[-6:]  # the last day's
+        assert confirmed == {"date": "2020-12-31", "kind": "confirmed_cumulative",
+                             "value": 401826.0 * 1e180}
+        assert active["value"] == confirmed["value"] - deaths["value"] - recovered["value"]
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
     @pytest.mark.parametrize("argv, field", [

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lockcycle import series
 from lockcycle.series import (
     DailySeries,
     _parse_header_dates,
@@ -85,6 +84,12 @@ class TestDailySeries:
         s = DailySeries(D(2020, 3, 1), [], "new_cases")
         with pytest.raises(ValueError, match="no end date"):
             s.end_date
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError) as exc:
+            DailySeries(D(2020, 3, 1), [1.0, 2.0, value, 3.0], "new_cases")
+        assert str(exc.value) == "new_cases has the non-finite value %r on 2020-03-03" % value
 
 
 class TestWideFormatParsing:
@@ -219,15 +224,8 @@ class TestWideFormatParsing:
         "1/22/20,1/23/20,1/24/2020,1/25/20,01/26/20,1/28/20",
     ])
     def test_header_dates_as_when_every_column_is_parsed(self, header):
-        tokens = header.split(",")
-
-        def outcome(parse):
-            try:
-                return parse(tokens, "f.csv")
-            except ValueError as exc:
-                return str(exc)
-
-        assert outcome(_parse_header_dates) == outcome(oracles.every_column)
+        ours, oracle = header_outcomes(WIDE_HEADER + "," + header, header.split(","))
+        assert ours == oracle
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(data=st.data())
@@ -248,13 +246,9 @@ class TestWideFormatParsing:
                 form = data.draw(forms)
                 year = day.year if "%04d" in form else day.year % 100
                 tokens.append(form % (day.month, day.day, year))
-        outcomes = []
-        for parse in (_parse_header_dates, oracles.every_column):
-            try:
-                outcomes.append(parse(tokens, "f.csv"))
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        # the cells csv gives for a header with quotes
+        ours, oracle = header_outcomes(tuple(WIDE_HEADER.split(",") + tokens), tokens)
+        assert ours == oracle
 
     def test_rejects_file_without_date_columns(self, tmp_path):
         p = wide_file(tmp_path, WIDE_HEADER + "\n,X,0,0\n")
@@ -276,6 +270,28 @@ class TestWideFormatParsing:
         p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,1/23/20\n,X,0,0,,5\n")
         s = parse_jhu_timeseries(p, "X")
         assert list(s.values) == [0.0, 5.0]
+
+    def test_sum_past_the_float_range_names_the_file(self, tmp_path):
+        p = wide_file(tmp_path, WIDE_HEADER + ",1/22/20,1/23/20\nA,X,0,0,1,1e308\nB,X,0,0,2,1e308\n")
+        with pytest.raises(ValueError) as exc:
+            parse_jhu_timeseries(p, "X")
+        assert str(exc.value) == ("%s: confirmed_cumulative has the non-finite value inf on "
+                                  "2020-01-23" % p)
+
+
+def header_outcomes(header, tokens):
+    """What the header decoder gives for header and the oracle for its date
+    cells, tokens: the dates as a list, or the message, the decoder's with
+    the file name that the scan puts before it."""
+    try:
+        ours = list(_parse_header_dates(header))
+    except ValueError as exc:
+        ours = "f.csv: %s" % exc
+    try:
+        oracle = oracles.every_column(tokens, "f.csv")
+    except ValueError as exc:
+        oracle = str(exc)
+    return ours, oracle
 
 
 def outcome(parse, *args):
@@ -299,14 +315,18 @@ class TestWideFormatScan:
     def test_failed_header_is_not_remembered(self, tmp_path):
         good = wide_file(tmp_path, WIDE_HEADER + ",1/22/20\n,X,0,0,1\n")
         assert parse_jhu_timeseries(good, "X").values == (1.0,)
-        remembered = series._last_header
-        for name in ("gap1.csv", "gap2.csv"):
+        remembered = _parse_header_dates.cache_info()
+        for i, name in enumerate(("gap1.csv", "gap2.csv"), 1):
             gap = tmp_path / name
             gap.write_text(WIDE_HEADER + ",1/22/20,1/24/20\n,X,0,0,1,2\n", encoding="utf-8")
             with pytest.raises(ValueError) as exc:
                 parse_jhu_timeseries(gap, "X")
             assert str(exc.value).startswith("%s: date columns must be consecutive" % gap)
-            assert series._last_header is remembered
+            # each failure is decoded afresh and never replaces the good header
+            info = _parse_header_dates.cache_info()
+            assert (info.misses, info.currsize) == (remembered.misses + i, 1)
+        assert parse_jhu_timeseries(good, "X").values == (1.0,)
+        assert _parse_header_dates.cache_info().hits == info.hits + 1
 
     def test_error_in_a_file_sharing_the_header_names_that_file(self, tmp_path):
         header = WIDE_HEADER + ",1/22/20,1/23/20\n"
@@ -478,6 +498,10 @@ class TestActiveCases:
         bad = DailySeries(D(2020, 5, 1), [1.0], "new_cases")
         with pytest.raises(ValueError, match="deaths_cumulative"):
             active_cases(ok, bad, ok)
+        deaths = DailySeries(D(2020, 5, 1), [0.0], "deaths_cumulative")
+        empty = DailySeries(D(2020, 5, 1), [], "recovered_cumulative")
+        with pytest.raises(ValueError, match="^empty recovered_cumulative series$"):
+            active_cases(ok, deaths, empty)
 
     def test_rejects_disjoint_ranges(self):
         confirmed = DailySeries(D(2020, 5, 1), [1.0], "confirmed_cumulative")
@@ -504,6 +528,8 @@ class TestWindow:
     def test_disjoint_window_is_an_error(self):
         with pytest.raises(ValueError, match="does not intersect"):
             window(self.s, D(2021, 1, 1), D(2021, 2, 1))
+        with pytest.raises(ValueError, match="^cannot window an empty series$"):
+            window(DailySeries(D(2020, 7, 1), [], "new_cases"), D(2020, 7, 1), D(2020, 7, 2))
 
     def test_reversed_window_is_an_error(self):
         with pytest.raises(ValueError, match="after end"):
