@@ -141,6 +141,7 @@ def _one_pole(x, pole, delay: int = 0) -> np.ndarray:
     return np.ascontiguousarray(y.reshape(y.shape[:-2] + (blocks * _BLOCK,))[..., :t])
 
 
+@np.errstate(all="ignore")  # an overflow shows as a value DailySeries rejects
 def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
     """Daily deaths implied by a new-case series under the kernel.
 

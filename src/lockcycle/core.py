@@ -12,6 +12,7 @@ given period that achieves this balance.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 
 __all__ = [
@@ -63,8 +64,9 @@ def _floats(values, error="values must be one-dimensional") -> tuple:
 
 def _require_in_range(what: str, results, low=0.0, **inputs) -> None:
     # The closed forms map positive finite inputs to results above low, so any
-    # other result means an exponential or a product left the float range.
-    if not all(low < v < math.inf for v in results):
+    # other result, or a positive one below the smallest normal float, means
+    # an exponential or a product left the float range.
+    if not all(low < v < math.inf and not 0 < v < sys.float_info.min for v in results):
         raise ValueError("%s leaves the float range at %s"
                          % (what, ", ".join("%s=%r" % item for item in inputs.items())))
 
@@ -229,8 +231,12 @@ class Trajectory(_Record):
 
 def _t_open(alpha: float, beta: float, period: float) -> float:
     # the open phase of the balanced split of period; costs takes its
-    # exponent alpha*t_open from this same expression
-    return beta * period / (alpha + beta)
+    # exponent alpha*t_open from this same expression.  alpha + beta
+    # overflows for rates near the float maximum, leaving t_open 0
+    t_open = beta * period / (alpha + beta)
+    _require_in_range("the balanced split", (t_open, period - t_open),
+                      alpha=alpha, beta=beta, period=period)
+    return t_open
 
 
 def phase_lengths(params: StrategyParams):
@@ -242,11 +248,7 @@ def phase_lengths(params: StrategyParams):
     growth and decay exponents cancel exactly: alpha*t_open = beta*t_close.
     """
     t_open = _t_open(params.alpha, params.beta, params.period)
-    split = (t_open, params.period - t_open)
-    # alpha + beta overflows for rates near the float maximum, leaving t_open 0
-    _require_in_range("the balanced split", split,
-                      alpha=params.alpha, beta=params.beta, period=params.period)
-    return split
+    return t_open, params.period - t_open
 
 
 def average_rt(schedule: PhaseSchedule) -> float:
@@ -263,7 +265,8 @@ def solve_trajectory(i0: float, schedule: PhaseSchedule, gamma: float,
     sample_step days starting at 0, and the cycle end is always included.
     A sample_step that would take more than MAX_SAMPLES samples is rejected,
     and so is a curve that leaves the float range (overflows to inf or
-    underflows to 0), naming i0, gamma and the schedule's period.
+    falls below the smallest normal float), naming i0, gamma and the
+    schedule's period.
     """
     _require_positive(i0=i0, gamma=gamma, sample_step=sample_step)
     rates = tuple(gamma * (ph.rt - 1.0) for ph in schedule.phases)

@@ -290,14 +290,14 @@ def ingest_report(series: DailySeries) -> tuple:
     """List source anomalies without changing the data.
 
     Returns (date, value) pairs: each date with a negative increment and the
-    increment (cumulative kinds), or each negative value (daily kinds).
+    increment (cumulative kinds), or each negative value (daily kinds).  An
+    increment that leaves the float range raises ValueError naming the
+    series and the day.
     """
-    days = series.dates()
-    if series.kind in CUMULATIVE_KINDS:
-        days, values = days[1:], _diff(series.values)
-    else:
-        values = series.values
-    return tuple((day, v) for day, v in zip(days, values) if v < 0)
+    if series.kind in CUMULATIVE_KINDS:  # the increments, each on its later day
+        series = DailySeries(series.start_date + dt.timedelta(days=1), _diff(series.values),
+                             series.kind)
+    return tuple((day, v) for day, v in zip(series.dates(), series.values) if v < 0)
 
 
 def difference(series: DailySeries) -> DailySeries:

@@ -133,6 +133,14 @@ def test_predict_short_series_is_empty():
     assert got.kind == "daily_deaths"
 
 
+def test_predict_past_the_float_range_names_the_day():
+    # each count is finite, the kernel's running sum is not; pytest turns a
+    # numpy warning into an error, so none is raised either
+    cases = DailySeries(dt.date(2020, 1, 1), [1e308] * 40, "new_cases")
+    with pytest.raises(ValueError, match="^daily_deaths has the non-finite value inf on 2020-01-04"):
+        predict_deaths(CfrModel(0, 0.5, 0.9), cases)
+
+
 # --- filter ---------------------------------------------------------------------
 
 def one_pole(x, a):

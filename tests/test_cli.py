@@ -660,27 +660,39 @@ class TestBadArguments:
         assert str(target) in err
         assert "line %d has the non-finite value 'nan' on 2020-11-17" % lineno in err
 
-    @pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
-    @pytest.mark.parametrize("command", ["fit-cfr", "ingest"])
-    @pytest.mark.parametrize("country, cells, problem", [
+    SERIES_PAST_THE_FLOAT_RANGE = {  # case: (file, country, cells, problem)
         # both cells are finite; their difference is not
-        ("Korea, South", {"2020-10-01": "1.7e308", "2020-10-02": "-1.7e308"},
-         "new_cases has the non-finite value -inf on 2020-10-02"),
+        "difference": ("confirmed", "Korea, South",
+                       {"2020-10-01": "1.7e308", "2020-10-02": "-1.7e308"},
+                       "new_cases has the non-finite value -inf on 2020-10-02"),
         # each province's cell is finite; their sum is not
-        ("Australia", {"2020-12-31": "1e308"},
-         "{file}: confirmed_cumulative has the non-finite value inf on 2020-12-31"),
-    ], ids=["difference", "sum"])
-    def test_series_past_the_float_range_exits_two(self, capsys, data_dir, tmp_path, command,
-                                                    fmt, country, cells, problem):
+        "sum": ("confirmed", "Australia", {"2020-12-31": "1e308"},
+                "{file}: confirmed_cumulative has the non-finite value inf on 2020-12-31"),
+        # ingest reports the recovered series' daily changes, which fit-cfr never reads
+        "recovered": ("recovered", "Korea, South",
+                      {"2020-10-01": "1.7e308", "2020-10-02": "-1.7e308"},
+                      "recovered_cumulative has the non-finite value -inf on 2020-10-02"),
+    }
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
+    @pytest.mark.parametrize("case, command", [
+        ("difference", "fit-cfr"), ("difference", "ingest"),
+        ("sum", "fit-cfr"), ("sum", "ingest"),
+        ("recovered", "ingest"),
+    ])
+    def test_series_past_the_float_range_exits_two(self, capsys, data_dir, tmp_path, case,
+                                                    command, fmt):
+        name, country, cells, problem = self.SERIES_PAST_THE_FLOAT_RANGE[case]
+
         def edit(counts):
             for iso, cell in cells.items():
                 counts[day(iso)] = cell
             return counts
 
-        work = edited_snapshot(data_dir, tmp_path, country, edit)
+        work = edited_snapshot(data_dir, tmp_path, country, edit, (name,))
         rc, out, err = run(capsys, command, "--data-dir", str(work), "--country", country, *fmt)
         assert (rc, out) == (2, "")
-        file = work / "time_series_covid19_confirmed_global.csv"
+        file = work / ("time_series_covid19_%s_global.csv" % name)
         assert err == "error: %s\n" % problem.format(file=file)
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]])
@@ -713,6 +725,12 @@ class TestBadArguments:
         # the derived pair overflows; the message names the inputs given
         (("schedule", "--r-open", "1e308", "--r-close", "0.5", "--gamma", "10"), "r_open=1e+308"),
         (("schedule", "--alpha", "1e308", "--beta", "1e-11", "--gamma", "1e-10"), "alpha=1e+308"),
+        # results below the smallest normal float: a cost, a phase length, a count
+        (("compare-costs", "--i0", "5e-324"), "i0=5e-324"),
+        (("compare-costs", "--period", "1e-320"), "period=1e-320"),
+        (("compare-costs", "--i0", "1e20", "--period", "1e-320"), "period=1e-320"),
+        (("schedule", "--period", "1e-320"), "period=1e-320"),
+        (("simulate", "--i0", "1e-320"), "i0=1e-320"),
     ])
     def test_closed_form_leaving_the_float_range_exits_two(self, capsys, argv, field, fmt):
         rc, out, err = run(capsys, *argv, *fmt)
@@ -720,6 +738,7 @@ class TestBadArguments:
         assert err.startswith("error: the ")
         assert "leaves the float range at " in err
         assert field in err
+        assert err.count("\n") == 1
 
     def test_step_past_the_sample_cap_exits_two(self, capsys):
         # 1e-9 days over a 54-day cycle is 5.4e10 samples, refused before allocating

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lockcycle import (
+    CostReport,
     PhaseSchedule,
     StrategyParams,
     auc_numeric,
@@ -168,6 +169,13 @@ def test_cost_ratio_rejects_mismatched_reports():
         cost_ratio(oc, cost_co(0.0410, 0.0553, 1000.0, 54.0))
     with pytest.raises(ValueError):
         cost_ratio(cost_co(*BASE), oc)  # wrong order
+
+
+def test_cost_ratio_rejects_an_area_off_the_closed_form():
+    oc = cost_oc(*BASE)
+    doubled = CostReport(**{**vars(oc), "auc_active": 2.0 * oc.auc_active})
+    with pytest.raises(ArithmeticError, match="disagrees with exp\\(alpha\\*t_open\\)"):
+        cost_ratio(doubled, cost_co(*BASE))
 
 
 # --- numeric AUC -----------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""The snapshot generator: its fit check runs on the public fitting API, and
-it regenerates the bundled snapshot byte for byte."""
+"""The snapshot generator: it checks the files it writes through the library
+that reads them, writes only a snapshot that passes, and regenerates the
+bundled snapshot byte for byte."""
 
+import datetime as dt
 import importlib.util
 import os
 
-import numpy as np
-
-from lockcycle.series import JHU_FILENAMES, parse_jhu_timeseries
+from lockcycle.series import JHU_FILENAMES
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "make_snapshot.py")
 
@@ -18,18 +18,26 @@ def load_tool():
     return module
 
 
-def test_check_fit_on_bundled_israel_row(data_dir):
-    tool = load_tool()
-    confirmed, deaths = (
-        parse_jhu_timeseries(os.path.join(data_dir, JHU_FILENAMES[kind]), "Israel", kind)
-        for kind in ("confirmed_cumulative", "deaths_cumulative"))
-    assert confirmed.start_date == tool.START
-    model, sse = tool.check_fit(np.diff(confirmed.values, prepend=0.0), deaths.values)
+def test_check_snapshot_on_the_bundled_snapshot(data_dir):
+    model, sse, problems = load_tool().check_snapshot(data_dir)
+    assert problems == []
     assert model.delay_k == 3
     assert sorted(sse) == [2, 3, 4]
     assert sse[3] == model.sse
     # the generator's own acceptance margin against the neighbouring delays
     assert min(sse[2], sse[4]) / model.sse > 1.002
+
+
+def test_failed_calibration_writes_nothing(tmp_path, capsys):
+    tool = load_tool()
+    tool.ACTIVE_KNOTS_TAIL[0] = (dt.date(2020, 8, 30), 20000.0)  # off its anchor
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert tool.main(str(out_dir)) == 1
+    assert os.listdir(out_dir) == []
+    out = capsys.readouterr().out
+    assert "PROBLEM: active_2020-08-30 20000.0 outside [20876.0, 20876.0]\n" in out
+    assert out.endswith("CALIBRATION FAILED\n")
 
 
 def test_regenerates_the_bundled_snapshot(data_dir, tmp_path, capsys):

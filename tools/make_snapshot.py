@@ -18,6 +18,10 @@ pipeline is checked against:
 Other rows (two Australian provinces, "Korea, South") are small synthetic
 filler that exercises province summation and quoted-name parsing.
 
+The files are written to a temporary directory and checked there through
+the library that reads them (check_snapshot, which runs validate); they
+reach out_dir only if every check passes.
+
 Run from the repository root:  python tools/make_snapshot.py
 (main(out_dir) writes somewhere else; out_dir defaults to the package data.)
 """
@@ -28,7 +32,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -36,11 +42,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.path.join(HERE, os.pardir, "src", "lockcycle", "data")
 sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
-# the fit window and file names from series, and the cycle windows, anchors
-# and published figures from validation: the library fits and checks against these
-from lockcycle.series import CUMULATIVE_KINDS, FIT_FROM, FIT_TO, JHU_FILENAMES  # noqa: E402
+# the library calibrates against these figures and checks the files it reads
+from lockcycle.cfr import fit  # noqa: E402
+from lockcycle.series import (CUMULATIVE_KINDS, FIT_FROM, FIT_TO, JHU_FILENAMES,  # noqa: E402
+                              active_cases, difference, ingest_report, load_country, window)
 from lockcycle.validation import (ANCHORS, CYCLE_SPLIT, OC_START, PERIOD_END,  # noqa: E402
-                                  TOLERANCES)
+                                  TOLERANCES, validate)
 
 # name -> (center, tolerance, kind) of each published figure
 PUBLISHED = {name: band for name, *band in TOLERANCES}
@@ -119,10 +126,6 @@ def didx(day):
     return (day - START).days
 
 
-def all_dates():
-    return [START + dt.timedelta(days=i) for i in range(N_DAYS)]
-
-
 def loglinear_curve(knots):
     """Piecewise log-linear interpolation of (date, level) knots over the
     full timeline; zero outside the knot range."""
@@ -161,7 +164,6 @@ def build_israel(rng_cases, rng_deaths):
     d_cont = np.maximum(d_cont, 0.0)
     deaths_cum = np.rint(np.cumsum(d_cont))
     d = np.diff(deaths_cum, prepend=0.0)
-    assert (d >= 0).all()
 
     # --- active cases and recoveries --------------------------------------
     stitch = didx(STITCH_DATE)
@@ -179,72 +181,12 @@ def build_israel(rng_cases, rng_deaths):
     active[stitch + 1:] = np.rint(designed[stitch + 1:])
     recovered[stitch + 1:] = confirmed[stitch + 1:] - deaths_cum[stitch + 1:] - active[stitch + 1:]
 
-    # one downward revision of the recovered series
+    # one downward revision of the recovered series, inside the bookkeeping epoch
     rc = didx(RECOVERED_CORRECTION[0])
     assert rc <= stitch
     recovered[rc] = recovered[rc - 1] - RECOVERED_CORRECTION[1]
-    active[rc] = confirmed[rc] - deaths_cum[rc] - recovered[rc]
 
-    return n, confirmed, deaths_cum, recovered, active
-
-
-def check_israel(n, confirmed, deaths_cum, recovered, active):
-    dates = all_dates()
-    problems = []
-
-    for day, value in ANCHORS:
-        got = active[didx(day)]
-        if got != value:
-            problems.append("anchor %s: %d != %d" % (day, got, value))
-
-    oc = confirmed[didx(CYCLE_SPLIT)] - confirmed[didx(OC_START)]
-    co = confirmed[didx(PERIOD_END)] - confirmed[didx(CYCLE_SPLIT)]
-    # within 1% of the published totals, tighter than validation's bands
-    for name, got in (("oc_cases", oc), ("co_cases", co)):
-        if abs(got / PUBLISHED[name][0] - 1) > 0.01:
-            problems.append("%s window sum %d off target" % (name[:2], got))
-
-    if (active < 0).any():
-        problems.append("negative active count")
-    if (recovered < 0).any():
-        problems.append("negative recovered count")
-    if (np.diff(deaths_cum) < 0).any():
-        problems.append("deaths not monotone")
-
-    neg_c = [dates[i + 1] for i in np.nonzero(np.diff(confirmed) < 0)[0]]
-    if neg_c != [dt.date.fromisoformat(CONFIRMED_CORRECTION[0])]:
-        problems.append("confirmed corrections at %s" % neg_c)
-    neg_r = [dates[i + 1] for i in np.nonzero(np.diff(recovered) < 0)[0]]
-    if neg_r != [dt.date.fromisoformat(RECOVERED_CORRECTION[0])]:
-        problems.append("recovered corrections at %s" % neg_r)
-
-    window = active[didx(OC_START):didx(PERIOD_END) + 1]
-    ratio = window.max() / active[didx(OC_START)]
-    center, width, _ = PUBLISHED["predicted_ratio_from_model"]  # an "abs" band
-    if not center - width <= ratio <= center + width:
-        problems.append("peak-to-start ratio %.4f out of band" % ratio)
-    peak_day, peak = max(ANCHORS, key=lambda anchor: anchor[1])
-    if window.max() != peak:
-        problems.append("window peak %d is not the %s anchor" % (window.max(), peak_day))
-
-    return oc, co, ratio, problems
-
-
-def check_fit(n, deaths_cum):
-    """Run the real estimation pipeline and report what it finds."""
-    from lockcycle.series import DailySeries, difference, window
-    from lockcycle.cfr import fit
-
-    conf = DailySeries(START, np.cumsum(n), "confirmed_cumulative")
-    dead = DailySeries(START, deaths_cum, "deaths_cumulative")
-    cases = window(difference(conf), FIT_FROM, FIT_TO)
-    deaths = window(difference(dead), FIT_FROM, FIT_TO)
-    model = fit(cases, deaths)
-
-    # margin of the delay choice against the neighbours
-    sse = {k: fit(cases, deaths, k_range=(k, k)).sse
-           for k in (model.delay_k - 1, model.delay_k, model.delay_k + 1) if k >= 0}
-    return model, sse
+    return confirmed, deaths_cum, recovered
 
 
 def logistic_cumulative(mid_iso, steep, size):
@@ -282,61 +224,27 @@ def write_csv(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["Province/State", "Country/Region", "Lat", "Long"]
-                        + [mdy(d) for d in all_dates()])
+                        + [mdy(START + dt.timedelta(days=i)) for i in range(N_DAYS)])
         for province, country, lat, lon, values in rows:
             writer.writerow([province, country, lat, lon] + [str(int(v)) for v in values])
 
 
-def main(out_dir=DATA_DIR):
-    """Calibrate, check and write the snapshot and its manifest to out_dir."""
-    rng_cases = np.random.default_rng(SEED)
-    rng_deaths = np.random.default_rng(DEATH_SEED)
-    n, confirmed, deaths_cum, recovered, active = build_israel(rng_cases, rng_deaths)
-    oc, co, ratio, problems = check_israel(n, confirmed, deaths_cum, recovered, active)
-    model, sse = check_fit(n, deaths_cum)
-
-    print("oc window sum:      %d" % oc)
-    print("co window sum:      %d" % co)
-    print("peak/start ratio:   %.4f" % ratio)
-    print("confirmed total:    %d" % confirmed[-1])
-    print("deaths total:       %d" % deaths_cum[-1])
-    print("recovered total:    %d" % recovered[-1])
-    print("fit: k=%d a=%.6f b=%.8f cfr=%.6f" % (model.delay_k, model.decay_a, model.scale_b, model.cfr))
-    print("     cv_a=%.3f%% cv_b=%.3f%% sse=%.3f" % (model.cv_a, model.cv_b, model.sse))
-    print("     sse by delay: %s" % {k: round(v, 2) for k, v in sorted(sse.items())})
-
-    ok = not problems
-    ok &= model.delay_k == KERNEL_K
-    ok &= min(v for k, v in sse.items() if k != model.delay_k) / model.sse > 1.002
-    ok &= abs(model.decay_a - KERNEL_A) <= 0.007
-    ok &= abs(model.scale_b - KERNEL_B) <= 0.00003
-    ok &= 0.0080 <= model.cfr <= 0.0090
-    ok &= 0.20 <= model.cv_a <= 0.48
-    ok &= 2.9 <= model.cv_b <= 7.2
-    for p in problems:
-        print("PROBLEM:", p)
-    if not ok:
-        print("CALIBRATION FAILED")
-        return 1
-
+def write_snapshot(out_dir, israel):
+    """Write the three CSSE files, Israel's cumulative rows taken from
+    israel in CUMULATIVE_KINDS order, and their MANIFEST.json to out_dir."""
     filler = build_filler()
-    def series_rows(which):
-        return [
-            ("New South Wales", "Australia", "-33.8688", "151.2093", filler["nsw"][which]),
-            ("Victoria", "Australia", "-37.8136", "144.9631", filler["vic"][which]),
-            ("", "Israel", "31.046051", "34.851612",
-             (confirmed, deaths_cum, recovered)[which]),
-            ("", "Korea, South", "35.907757", "127.766922", filler["kor"][which]),
-        ]
-
-    os.makedirs(out_dir, exist_ok=True)
     manifest = {"date_range": [START.isoformat(), END.isoformat()],
                 "countries": ["Australia", "Israel", "Korea, South"],
                 "files": {}}
     for which, kind in enumerate(CUMULATIVE_KINDS):
         name = JHU_FILENAMES[kind]
         path = os.path.join(out_dir, name)
-        write_csv(path, series_rows(which))
+        write_csv(path, [
+            ("New South Wales", "Australia", "-33.8688", "151.2093", filler["nsw"][which]),
+            ("Victoria", "Australia", "-37.8136", "144.9631", filler["vic"][which]),
+            ("", "Israel", "31.046051", "34.851612", israel[which]),
+            ("", "Korea, South", "35.907757", "127.766922", filler["kor"][which]),
+        ])
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         manifest["files"][name] = {"sha256": digest, "bytes": os.path.getsize(path)}
@@ -344,6 +252,81 @@ def main(out_dir=DATA_DIR):
     with open(os.path.join(out_dir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+
+
+def check_snapshot(data_dir):
+    """Check the snapshot in data_dir through the library that reads it.
+
+    validate checks the manifest's checksums, the active-case anchors, every
+    published band and the fitted case fatality rate.  On top of that, the
+    case totals must be within 1% of their centres, the only downward
+    revisions the two planned ones, no recovered count negative, the
+    two-cycle peak the largest anchor, and the fit must recover the kernel,
+    each neighbouring delay's SSE more than 0.2% above its delay's.
+
+    Returns (model, sse, problems): the fitted CfrModel, the SSE of each
+    single-delay refit around its delay, and one line per failed check.
+    """
+    doc = validate(data_dir)
+    confirmed, deaths, recovered = load_country(data_dir, "Israel")
+    active = active_cases(confirmed, deaths, recovered)
+    cases, daily_deaths = (window(difference(s), FIT_FROM, FIT_TO) for s in (confirmed, deaths))
+    model = fit(cases, daily_deaths)
+    sse = {k: fit(cases, daily_deaths, k_range=(k, k)).sse
+           for k in (model.delay_k - 1, model.delay_k, model.delay_k + 1) if k >= 0}
+    margin = min(v for k, v in sse.items() if k != model.delay_k) / model.sse
+
+    bands = [
+        # case totals within 1% of their centres, tighter than validate's bands
+        *((name, doc[name], 0.99 * PUBLISHED[name][0], 1.01 * PUBLISHED[name][0])
+          for name in ("oc_cases", "co_cases")),
+        ("delay_k", model.delay_k, KERNEL_K, KERNEL_K),
+        ("decay_a", model.decay_a, KERNEL_A - 0.007, KERNEL_A + 0.007),
+        ("scale_b", model.scale_b, KERNEL_B - 0.00003, KERNEL_B + 0.00003),
+        ("cfr", model.cfr, 0.0080, 0.0090),
+        ("cv_a", model.cv_a, 0.20, 0.48),
+        ("cv_b", model.cv_b, 2.9, 7.2),
+        ("delay margin", margin, 1.002, math.inf),
+    ]
+    checks = doc["checks"] + [{"name": name, "value": value, "low": low, "high": high,
+                               "ok": low <= value <= high} for name, value, low, high in bands]
+    problems = ["%(name)s %(value)s outside [%(low)s, %(high)s]" % c for c in checks if not c["ok"]]
+
+    # ingest_report lists downward revisions, and negative active counts
+    revised = {s.kind: [day.isoformat() for day, _ in ingest_report(s)]
+               for s in (confirmed, deaths, recovered, active)}
+    planned = {"confirmed_cumulative": [CONFIRMED_CORRECTION[0]], "deaths_cumulative": [],
+               "recovered_cumulative": [RECOVERED_CORRECTION[0]], "active_cases": []}
+    if revised != planned:
+        problems.append("downward revisions %s, planned %s" % (revised, planned))
+    if min(recovered.values) < 0:
+        problems.append("negative recovered count")
+    two_cycles = window(active, OC_START, PERIOD_END)
+    peak, peak_day = max(zip(two_cycles.values, two_cycles.dates()))
+    if (peak_day, peak) != max(ANCHORS, key=lambda anchor: anchor[1]):
+        problems.append("two-cycle peak %s on %s is not the largest anchor" % (peak, peak_day))
+    return model, sse, problems
+
+
+def main(out_dir=DATA_DIR):
+    """Calibrate the snapshot, write it and its manifest to a temporary
+    directory, check it there, and copy it to out_dir only if it passes."""
+    israel = build_israel(np.random.default_rng(SEED), np.random.default_rng(DEATH_SEED))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_snapshot(tmp, israel)
+        model, sse, problems = check_snapshot(tmp)
+        if not problems:
+            os.makedirs(out_dir, exist_ok=True)
+            for name in sorted(os.listdir(tmp)):
+                shutil.copyfile(os.path.join(tmp, name), os.path.join(out_dir, name))
+    print("fit: k=%d a=%.6f b=%.8f cfr=%.6f" % (model.delay_k, model.decay_a, model.scale_b, model.cfr))
+    print("     cv_a=%.3f%% cv_b=%.3f%% sse=%.3f" % (model.cv_a, model.cv_b, model.sse))
+    print("     sse by delay: %s" % {k: round(v, 2) for k, v in sorted(sse.items())})
+    for p in problems:
+        print("PROBLEM:", p)
+    if problems:
+        print("CALIBRATION FAILED")
+        return 1
     print("snapshot ok")
     return 0
 
