@@ -18,17 +18,18 @@ grid of 52 decays, the search edges 0 and _TOP and 50 points between them,
 is scored in one filter pass, and each delay's best grid decay and its grid
 neighbours bracket the minimum.  Safeguarded Newton steps on the profile's
 slope refine all delays in lock step, each from its best decay if that is an
-edge, else from the vertex of the parabola through the grid's explained
-squares (d.s)^2/(s.s) at the three.  The vertex is rounded to 1e-9, so that
-the grid's matrix product, which rounds differently for one delay than for
-many, leaves each delay's fit the same however many delays are searched.  A
-delay stops at its first Newton step shorter than _SHORT_STEP, which in the
+edge, else from the peak of the degree-8 polynomial in the log timescale
+-log(1-a) through the grid's explained squares (d.s)^2/(s.s) at the nine
+interior grid decays nearest it.  The peak is rounded to 1e-9, so that the
+grid's matrix product, which rounds differently for one delay than for many,
+leaves each delay's fit the same however many delays are searched.  A delay
+stops at its first Newton step shorter than _SHORT_STEP, which in the
 quadratic regime leaves an error of the order of its square.  The integer
 delay k with the smallest residual wins, and fit builds its state and
 a-derivative alone, the filter delaying its input by k days and by one.
 Each evaluation, the grid's included, builds its block power matrices once,
 as read-only Toeplitz views of one ramp of powers, and runs every filter
-pass it needs on them.  The bundled Israel fit takes four evaluations.
+pass it needs on them.  The bundled Israel fit takes two evaluations.
 
 The input series hold plain floats.  fit turns each into an array once,
 smooths it with a trailing moving average and aligns the two on their
@@ -158,6 +159,10 @@ def predict_deaths(model: CfrModel, new_cases: DailySeries) -> DailySeries:
 _TOP = 1.0 - 1e-12  # a = 1 would give the kernel infinite mass
 # 50 decays on (0, 1) between the two search edges
 _GRID = np.concatenate([[0.0], (np.arange(50) + 0.5) / 50, [_TOP]])
+# each grid decay's log timescale u = -log(1-a): the grid is uniform in a,
+# but the profile is smooth in u
+_U = -np.log1p(-_GRID)
+_SPAN = 9  # interior grid decays through which the start's polynomial runs
 _STEP_TOL = 1e-14
 _SHORT_STEP = 1e-7
 _MAX_STEPS = 100
@@ -202,12 +207,60 @@ def _grid_profiles(cases, ahead, mask):
     """Explained squares (d.s)^2/(s.s) from one filter pass (rows: _GRID,
     columns: the rows of ahead and mask), 0 where no scale b > 0 fits.  The
     states are the cases themselves at a = 0 and their running sum at _TOP.
-    _fit_decays rounds the Newton start it takes from these to 1e-9, as the
+    _newton_start rounds the Newton start it takes from these to 1e-9, as the
     matrix products round differently for one delay than for many."""
     states = _one_pole(cases, _pole(_GRID, len(cases)))
     p = states @ ahead.T
     q = (states * states) @ mask.T
     return np.divide(p * p, q, out=np.zeros_like(p), where=(p > 0.0) & (q > 0.0))
+
+
+def _start_tables():
+    """_newton_start's tables by best grid row j: the _SPAN interior grid rows
+    nearest j, its window; lo, mid and hi, the decays of j's grid neighbours,
+    clipped at the ends, and of j, then the same three in the window's
+    scaled coordinate z = (u - centre) / half, then centre and half, the
+    window's middle and half-width in u; and the map from the values of the
+    polynomial P through the window to the coefficients of P' then P'' in z,
+    each padded to _SPAN - 1 of them."""
+    j = np.arange(len(_GRID))
+    window = np.clip(j - _SPAN // 2, 1, len(_GRID) - 1 - _SPAN)[:, None] + np.arange(_SPAN)
+    u = _U[window]
+    centre, half = (u[:, -1] + u[:, 0]) / 2, (u[:, -1] - u[:, 0]) / 2
+    near = np.clip(j + np.array([[-1], [0], [1]]), 0, len(_GRID) - 1)
+    by_best = np.concatenate([_GRID[near], (_U[near] - centre) / half, [centre, half]])
+    powers = np.arange(_SPAN)
+    inverse = np.linalg.inv(((u - centre[:, None]) / half[:, None])[..., None] ** powers)
+    maps = np.zeros((len(j), 2, _SPAN - 1, _SPAN))
+    maps[:, 0] = inverse[:, 1:] * powers[1:, None]
+    maps[:, 1, :-1] = inverse[:, 2:] * (powers * (powers - 1))[2:, None]
+    return window, by_best, maps.reshape(len(j), -1, _SPAN)
+
+
+_WINDOW, _BY_BEST, _MAPS = _start_tables()
+
+
+def _newton_start(e):
+    """Each column's Newton start, from explained squares e with rows _GRID,
+    with the bracket lo and hi: the best grid decay's grid neighbours,
+    clipped at the ends.  A best edge starts on the edge itself.  An interior
+    best starts at the peak of the polynomial P in u through e at the _SPAN
+    interior grid decays nearest it, found by three Newton steps on P from
+    the best, each taken only where P is concave and clipped to the
+    neighbours.  The start is rounded to 1e-9, as the grid's matrix product
+    rounds differently for one delay than for many."""
+    j = np.argmax(e, axis=0)
+    lo, mid, hi, z_lo, z, z_hi, centre, half = _BY_BEST[:, j]
+    values = e[_WINDOW[j], np.arange(len(j))[:, None]]
+    coef = np.einsum("nri,ni->nr", _MAPS[j], values).reshape(len(j), 2, _SPAN - 1)
+    # an edge column takes its steps too, from the edge, and drops them
+    with np.errstate(over="ignore"):  # a step that overflows is clipped like any other
+        for _ in range(3):
+            slope, curvature = np.einsum("nkp,np->kn", coef, np.vander(z, _SPAN - 1, True))
+            step = np.divide(slope, curvature, out=np.zeros_like(z), where=curvature < 0.0)
+            z = np.minimum(np.maximum(z - step, z_lo), z_hi)
+    a = np.minimum(np.round(-np.expm1(-(centre + half * z)), 9), hi)  # not 1 beside _TOP
+    return np.where((j > 0) & (j < len(_GRID) - 1), a, mid), lo, hi
 
 
 def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
@@ -217,22 +270,19 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     deaths k_j days after each state day and `mask` the state days that have
     one.  The grid holds both search edges, so one rule serves every delay:
     the best grid decay, the largest explained square e, and its grid
-    neighbours, clipped at the ends, bracket the profile minimum.  A best
-    edge starts Newton on the edge itself.  An interior best starts it at
-    the vertex of the parabola through e at the three, with the grid's own
-    spacing on each side, rounded to 1e-9: the grid's matrix product rounds
-    differently for one delay than for many, and the rounding keeps each
-    delay's fit the same whichever other delays are searched.  A delay that
-    no grid decay fits keeps a = _GRID[0] = 0.  All delays take Newton steps
-    on the profile slope together, each falling back to bisection whenever
-    its step would leave its bracket or its profile is not convex there; an
-    outward slope on a search edge collapses the bracket onto it.  A row
-    stops once it takes a Newton step shorter than _SHORT_STEP: the profile
-    is quadratic that close to its minimum, so the step leaves an error of
-    the order of its square, under 1e-12, and a further evaluation would
-    only confirm it.  A row also stops on any step, Newton or bisection,
-    below _STEP_TOL.  A last pass at each final decay gives b and the SSE
-    there, as the loop's last evaluation lies one step behind it.
+    neighbours, clipped at the ends, bracket the profile minimum, and
+    _newton_start gives the Newton start, rounded to 1e-9 so that each
+    delay's fit is the same whichever other delays are searched.  A delay
+    that no grid decay fits keeps a = _GRID[0] = 0.  All delays take Newton
+    steps on the profile slope together, each falling back to bisection
+    whenever its step would leave its bracket or its profile is not convex
+    there; an outward slope on a search edge collapses the bracket onto it.
+    A row stops once it takes a Newton step shorter than _SHORT_STEP: the
+    profile is quadratic that close to its minimum, so the step leaves an
+    error of the order of its square, under 1e-12, and a further evaluation
+    would only confirm it.  A row also stops on any step, Newton or
+    bisection, below _STEP_TOL.  A last pass at each final decay gives b and
+    the SSE there, as the loop's last evaluation lies one step behind it.
     """
     t = len(cases)
     days = np.arange(t)
@@ -240,19 +290,8 @@ def _fit_decays(cases: np.ndarray, deaths: np.ndarray, ks: np.ndarray):
     ahead = np.where(mask > 0.0, deaths[np.minimum(days + ks[:, None], t - 1)], 0.0)
 
     e = _grid_profiles(cases, ahead, mask)
-    j = np.argmax(e, axis=0)
-    j_lo, j_hi = np.maximum(j - 1, 0), np.minimum(j + 1, len(_GRID) - 1)
-    lo, mid, hi = _GRID[j_lo], _GRID[j], _GRID[j_hi]
-    cols = np.arange(len(ks))
-    e_mid = e[j, cols]
-    # the parabola's vertex; off the grid's ends its denominator is positive,
-    # as argmax takes the first of equal maxima
-    d_lo, d_hi = e_mid - e[j_lo, cols], e_mid - e[j_hi, cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = 0.5 * ((hi - mid) ** 2 * d_lo - (mid - lo) ** 2 * d_hi) / (
-            (hi - mid) * d_lo + (mid - lo) * d_hi)
-    a = np.where((j == 0) | (j == len(_GRID) - 1), mid, np.round(mid + shift, 9))
-    rows = np.flatnonzero(e_mid > 0.0)
+    a, lo, hi = _newton_start(e)
+    rows = np.flatnonzero(e.max(axis=0) > 0.0)
     for _ in range(_MAX_STEPS):
         if rows.size == 0:
             break

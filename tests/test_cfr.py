@@ -7,8 +7,9 @@ import pytest
 
 import lockcycle.series as ser
 from lockcycle.cfr import CfrModel, fit as fit_cfr, predict_deaths
-from lockcycle.cfr import (_GRID, _TOP, _fit_decays, _grid_profiles, _lower_powers,
-                           _cvs, _moving_average, _one_pole, _pole, _profile_slopes)
+from lockcycle.cfr import (_BY_BEST, _GRID, _MAPS, _SPAN, _TOP, _U, _WINDOW, _fit_decays,
+                           _grid_profiles, _lower_powers, _cvs, _moving_average,
+                           _newton_start, _one_pole, _pole, _profile_slopes)
 from lockcycle.series import FIT_FROM, FIT_TO, DailySeries
 
 import oracles
@@ -263,7 +264,7 @@ def test_grid_profiles_are_the_explained_squares(days, sign):
 @pytest.mark.parametrize("decay, k, edge", [(0.012, 4, 0), (0.99, 2, len(_GRID) - 1)])
 def test_minimum_in_an_edge_grid_cell_is_the_profile_optimum(decay, k, edge):
     # noisy data; such a minimum lies in the two grid cells at a search edge,
-    # 0 or _TOP, where the parabola's start takes the edge's explained square
+    # 0 or _TOP, whose explained square the start's polynomial leaves out
     rng = np.random.default_rng(0)
     cases = smooth_case_curve(150, rng)
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.05, 150))
@@ -361,6 +362,70 @@ def test_each_delay_ends_at_its_global_minimum(source):
         assert ks[np.argmin(sse)] == 2
 
 
+def test_start_maps_give_the_derivatives_of_the_polynomial_through_the_window():
+    # a degree-8 polynomial in u sampled at each window's nodes, against its
+    # first and second derivatives in the window's z = (u - centre) / half
+    q = np.polynomial.Polynomial([0.3, -1.2, 0.8, 0.5, -0.7, 0.25, -0.04, 0.003, -1e-4])
+    for j in range(len(_GRID)):
+        window = _WINDOW[j]
+        assert 1 <= window[0] and window[-1] <= len(_GRID) - 2
+        np.testing.assert_array_equal(np.diff(window), 1)
+        assert j in window or j in (0, len(_GRID) - 1)
+        centre, half = _BY_BEST[6:, j]
+        in_z = q(np.polynomial.Polynomial([centre, half]))
+        coef = (_MAPS[j] @ q(_U[window])).reshape(2, _SPAN - 1)
+        for got, derivative in zip(coef, (in_z.deriv(1), in_z.deriv(2))):
+            expected = np.zeros(_SPAN - 1)
+            expected[:len(derivative.coef)] = derivative.coef
+            # a window narrow in u makes the high-order coefficients tiny, so
+            # each is held to 1e-9 of the largest
+            np.testing.assert_allclose(got, expected, rtol=1e-9,
+                                       atol=1e-9 * np.abs(expected).max(), err_msg="j %d" % j)
+
+
+def test_newton_start_is_near_the_profile_optimum():
+    # every delay of noisy_case seeds 0-39 whose best grid decay is interior,
+    # against the bisection oracle in its grid bracket; a parabola in a
+    # through the best grid decay and its neighbours starts a median 1.4e-3
+    # away
+    gaps = []
+    ks = np.arange(16)
+    for seed in range(40):
+        cases, deaths = noisy_case(seed)
+        e = _grid_profiles(cases, *rows_ahead(deaths, ks))
+        a, lo, hi = _newton_start(e)
+        best = np.argmax(e, axis=0)
+        for r in np.flatnonzero((best > 0) & (best < len(_GRID) - 1)):
+            a_ref, _ = oracles.profile_optimum(list(cases), list(deaths), int(ks[r]), lo[r], hi[r])
+            gaps.append(abs(a[r] - a_ref))
+    assert len(gaps) >= 400
+    assert np.median(gaps) <= 1e-7
+    assert np.percentile(gaps, 90) <= 1e-5
+
+
+@pytest.mark.parametrize("profile", ["flat window", "zero curvature", "peak beside zero",
+                                     "peak beside top"])
+def test_newton_start_is_finite_inside_its_bracket(profile):
+    # one column of explained squares whose best grid decay is interior
+    if profile == "flat window":
+        e = np.zeros(len(_GRID))
+        e[1:1 + _SPAN] = 1.0  # best at j = 1, argmax taking the first
+    elif profile == "zero curvature":
+        e = np.zeros(len(_GRID))
+        e[-1 - _SPAN:-1] = _U[-1 - _SPAN:-1]  # linear in u up to j = 50
+    else:
+        peak = 0.007 if profile == "peak beside zero" else 0.993
+        e = np.maximum(100.0 - (_U + np.log1p(-peak)) ** 2, 0.0)
+    j = int(np.argmax(e))
+    assert j == (1 if profile in ("flat window", "peak beside zero") else len(_GRID) - 2)
+    (a,), (lo,), (hi,) = _newton_start(e[:, None])
+    assert (lo, hi) == (_GRID[j - 1], _GRID[j + 1])
+    assert np.isfinite(a) and lo <= a <= hi
+    if profile.startswith("peak"):
+        # e is a parabola in u, which the polynomial reproduces
+        assert a == pytest.approx(peak, abs=1e-9)
+
+
 @pytest.fixture
 def slope_calls(monkeypatch):
     # the batch size of every profile-slope evaluation _fit_decays makes
@@ -375,11 +440,11 @@ def slope_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("k_max", [15, 30])
-def test_israel_fit_takes_four_evaluations(k_max, data_dir, slope_calls):
+def test_israel_fit_takes_two_evaluations(k_max, data_dir, slope_calls):
     cases, deaths = israel_window(data_dir)
     a, _, _ = _fit_decays(cases, deaths, np.arange(0, k_max + 1))[:3]
     assert a[3] == pytest.approx(0.9393724244736548, rel=1e-12)
-    assert len(slope_calls) <= 4
+    assert len(slope_calls) <= 2
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -409,7 +474,7 @@ def test_newton_stops_at_the_profile_optimum_on_flat_profiles(seed, slope_calls)
     deaths = oracles.convolve_direct(cases, k, decay, 0.003) * np.exp(rng.normal(0.0, 0.4, days))
     ks = np.arange(0, 16)
     a, _, _ = _fit_decays(cases, deaths, ks)[:3]
-    assert len(slope_calls) <= 4, slope_calls  # five before the early stop
+    assert len(slope_calls) <= 2, slope_calls
     interior = np.flatnonzero((a > 0.0) & (a < _TOP))
     assert interior.size >= 8
     for r in interior:

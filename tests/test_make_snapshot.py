@@ -51,3 +51,20 @@ def test_regenerates_the_bundled_snapshot(data_dir, tmp_path, capsys):
         with open(os.path.join(data_dir, name), "rb") as bundled:
             assert (tmp_path / name).read_bytes() == bundled.read(), name
     assert verify_checksums(str(tmp_path)) == []
+
+
+def test_check_snapshot_fits_once_and_refits_three_delays(data_dir, monkeypatch):
+    import lockcycle.cfr as cfr
+
+    tool = load_tool()
+    fit, calls = cfr.fit, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("k_range"))
+        return fit(*args, **kwargs)
+
+    # the tool's own name and the one validate calls through
+    monkeypatch.setattr(tool, "fit", counted)
+    monkeypatch.setattr(cfr, "fit", counted)
+    assert tool.check_snapshot(data_dir)[2] == []
+    assert calls == [None, (2, 2), (3, 3), (4, 4)]

@@ -257,21 +257,22 @@ def write_snapshot(out_dir, israel):
 def check_snapshot(data_dir):
     """Check the snapshot in data_dir through the library that reads it.
 
-    validate checks the manifest's checksums, the active-case anchors, every
-    published band and the fitted case fatality rate.  On top of that, the
-    case totals must be within 1% of their centres, the only downward
-    revisions the two planned ones, no recovered count negative, the
-    two-cycle peak the largest anchor, and the fit must recover the kernel,
-    each neighbouring delay's SSE more than 0.2% above its delay's.
+    validate checks the manifest's checksums, the active-case anchors and
+    every published band, given the case fatality rate of the fit made here,
+    which is the fit validate would make.  On top of that, the case totals
+    must be within 1% of their centres, the only downward revisions the two
+    planned ones, no recovered count negative, the two-cycle peak the
+    largest anchor, and the fit must recover the kernel, each neighbouring
+    delay's SSE more than 0.2% above its delay's.
 
     Returns (model, sse, problems): the fitted CfrModel, the SSE of each
     single-delay refit around its delay, and one line per failed check.
     """
-    doc = validate(data_dir)
     confirmed, deaths, recovered = load_country(data_dir, "Israel")
     active = active_cases(confirmed, deaths, recovered)
     cases, daily_deaths = (window(difference(s), FIT_FROM, FIT_TO) for s in (confirmed, deaths))
     model = fit(cases, daily_deaths)
+    doc = validate(data_dir, model.cfr)
     sse = {k: fit(cases, daily_deaths, k_range=(k, k)).sse
            for k in (model.delay_k - 1, model.delay_k, model.delay_k + 1) if k >= 0}
     margin = min(v for k, v in sse.items() if k != model.delay_k) / model.sse
